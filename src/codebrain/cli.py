@@ -84,24 +84,17 @@ class PrerequisiteError(RuntimeError):
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``section.key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or "." not in key:
-            raise ConfigError(f"line {lineno}: keys are dotted section.name pairs, got {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+    try:
+        values = signal.parse_key_values(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for key in values:
+        if "." not in key:
+            raise ConfigError(f"keys are dotted section.name pairs, got {key!r}")
+    return values
 
 
-_GENERATOR_SCALARS = ("channels", "sample_rate", "duration", "noise_sigma", "records_per_class")
+_GENERATOR_SCALARS = {f.name for f in dataclasses.fields(GeneratorSpec)} - {"classes"}
 _SECTION_FIELDS = {
     "tokenizer": {f.name for f in dataclasses.fields(TokenizerConfig)},
     "model": {f.name for f in dataclasses.fields(EegssmConfig)},
@@ -209,9 +202,9 @@ def _train_config(run: RunConfig, section: str) -> TrainConfig:
 
 
 def _generator_spec(run: RunConfig) -> GeneratorSpec:
-    lines = [f"{k} = {v}" for k, v in sorted(run.section("data").items())]
+    # sorted, so classes take label ids in name order whatever the key order
     try:
-        return signal.parse_generator_config("\n".join(lines))
+        return signal.generator_spec(dict(sorted(run.section("data").items())))
     except ValueError as exc:
         raise ConfigError(f"invalid [data] configuration: {exc}") from None
 
@@ -247,29 +240,32 @@ def _grids(records: list[EegRecord], patch_len: int) -> list[PatchGrid]:
     return out
 
 
-def _load_tokenizer(run: RunConfig) -> tuple[TokenizerModel, dict]:
-    ckpt_dir = run.path("stage1", "stage1/final")
-    if not (ckpt_dir / "manifest.json").is_file():
-        raise PrerequisiteError(
-            f"no tokenizer checkpoint at {ckpt_dir}; run train-tokenizer first"
-        )
-    ckpt = load_checkpoint(str(ckpt_dir))
-    raw = {k: tuple(v) if isinstance(v, list) else v for k, v in ckpt.config["model"].items()}
-    model = TokenizerModel(TokenizerConfig(**raw), np.random.default_rng(0))
-    model.load_state_dict(ckpt.tensors)
-    return model, ckpt.config
+_STAGES = {
+    "stage1": ("tokenizer", TokenizerConfig, TokenizerModel, "train-tokenizer"),
+    "stage2": ("backbone", EegssmConfig, EegssmModel, "train-ssm"),
+}
 
 
-def _load_backbone(run: RunConfig) -> tuple[EegssmModel, dict]:
-    ckpt_dir = run.path("stage2", "stage2/final")
+def _load_model(run: RunConfig, stage: str):
+    """The final model of `stage` ("stage1" or "stage2"), rebuilt from its
+    checkpoint; a checkpoint of the other stage raises CheckpointError."""
+    what, config_cls, model_cls, command = _STAGES[stage]
+    ckpt_dir = run.path(stage, f"{stage}/final")
     if not (ckpt_dir / "manifest.json").is_file():
-        raise PrerequisiteError(
-            f"no backbone checkpoint at {ckpt_dir}; run train-ssm first"
-        )
+        raise PrerequisiteError(f"no {what} checkpoint at {ckpt_dir}; run {command} first")
     ckpt = load_checkpoint(str(ckpt_dir))
-    model = EegssmModel(EegssmConfig(**ckpt.config["model"]), np.random.default_rng(0))
-    model.load_state_dict(ckpt.tensors)
-    return model, ckpt.config
+    raw = ckpt.config.get("model")
+    if not isinstance(raw, dict) or not set(raw) <= {f.name for f in dataclasses.fields(config_cls)}:
+        raise CheckpointError(f"the checkpoint at {ckpt_dir} does not hold a {what} model")
+    try:
+        model = model_cls(
+            config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}),
+            np.random.default_rng(0),
+        )
+        model.load_state_dict(ckpt.tensors)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"the {what} checkpoint at {ckpt_dir} is unusable: {exc}") from None
+    return model
 
 
 # ---- commands --------------------------------------------------------------------
@@ -347,7 +343,7 @@ def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train_ssm(run: RunConfig, args: argparse.Namespace) -> int:
     model_cfg = _build_dataclass(EegssmConfig, "model", run)
     train_cfg = _train_config(run, "stage2")
-    tok_model, _ = _load_tokenizer(run)
+    tok_model = _load_model(run, "stage1")
     if tok_model.config.codebook_size != model_cfg.codebook_size:
         raise ConfigError(
             f"model.codebook_size {model_cfg.codebook_size} does not match the "
@@ -390,7 +386,7 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
     if n_seeds < 1:
         raise ConfigError("probe.seeds must be positive")
 
-    backbone, _ = _load_backbone(run)
+    backbone = _load_model(run, "stage2")
     records, info = _load_corpus(run)
     labels = np.array(info["labels"], dtype=np.int64)
     n_classes = int(labels.max()) + 1
@@ -506,7 +502,7 @@ def _read_history(path: Path) -> dict[str, np.ndarray]:
 
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     tau = _convert(run.get("analyze.tau", "1.0"), 1.0, "analyze.tau")
-    tok_model, _ = _load_tokenizer(run)
+    tok_model = _load_model(run, "stage1")
     records, info = _load_corpus(run)
     out_dir = run.out / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,29 @@ __all__ = [
     "SelfAttention",
     "TransformerLayer",
     "TransformerEncoder",
+    "load_params",
     "prefix_params",
 ]
 
 
 def prefix_params(prefix: str, items: dict[str, Tensor]) -> dict[str, Tensor]:
     return {f"{prefix}/{k}": v for k, v in items.items()}
+
+
+def load_params(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
+    """Copy `state[name]` into each named parameter, keeping its dtype.
+
+    Every name is checked before any parameter changes: a missing name
+    raises KeyError and a shape that differs raises ValueError. Extra names
+    in `state` (buffers, optimizer moments) are ignored.
+    """
+    for k, t in params.items():
+        if k not in state:
+            raise KeyError(f"missing parameter {k!r} in state")
+        if state[k].shape != t.data.shape:
+            raise ValueError(f"shape mismatch for {k!r}: {state[k].shape} vs {t.data.shape}")
+    for k, t in params.items():
+        t.data = state[k].astype(t.data.dtype).copy()
 
 
 class Linear:

@@ -3,10 +3,10 @@
 A preset is a flat dict of dotted ``section.key`` strings — the same shape a
 config file parses into — so the CLI can overlay file values and flags on top
 without special cases. ``desk`` is sized to finish every stage in minutes on a
-laptop CPU; ``paper`` carries the full-scale architecture defaults (4096x32
-codebooks, hidden width 200, 8-block backbone), which train far too slowly for
-a desk run but document the reference configuration and are fine for building
-models and echoing manifests.
+laptop CPU; ``paper`` overlays it with the full-scale architecture defaults
+(4096x32 codebooks, hidden width 200, 8-block backbone), which train far too
+slowly for a desk run but document the reference configuration and are fine
+for building models and echoing manifests.
 """
 
 from __future__ import annotations
@@ -89,21 +89,11 @@ _DESK: dict[str, str] = {
 }
 
 
+# paper overlays desk: only the values that differ are restated
 _PAPER: dict[str, str] = {
-    "data.channels": "4",
-    "data.sample_rate": "200",
-    "data.duration": "8",
-    "data.noise_sigma": "4.0",
+    **_DESK,
     "data.records_per_class": "100",
-    "data.class.slow.bands": "1-4:40",
-    "data.class.alpha.bands": "8-12:40",
-    "data.class.beta.bands": "18-30:40",
-    "split.train": "0.6",
-    "split.val": "0.2",
-    "split.test": "0.2",
-    "split.seed": "0",
     # full-scale tokenizer: 4096 codes x 32 dims, hidden width 200
-    "tokenizer.patch_len": "200",
     "tokenizer.hidden": "200",
     "tokenizer.enc_layers": "12",
     "tokenizer.dec_layers": "3",
@@ -111,8 +101,8 @@ _PAPER: dict[str, str] = {
     "tokenizer.mlp_dim": "800",
     "tokenizer.codebook_size": "4096",
     "tokenizer.code_dim": "32",
+    "tokenizer.commitment_beta": "0.0",  # the TokenizerConfig default
     # full-scale backbone
-    "model.patch_len": "200",
     "model.features": "256",
     "model.blocks": "8",
     "model.kernel_len": "1024",
@@ -120,31 +110,15 @@ _PAPER: dict[str, str] = {
     "model.window": "31",
     "model.codebook_size": "4096",
     "model.p_drop": "0.1",
-    "stage1.steps": "200",
-    "stage1.batch_size": "4",
     "stage1.peak_lr": "1e-4",
     "stage1.min_lr": "1e-6",
-    "stage1.seed": "0",
     "stage2.steps": "500",
-    "stage2.batch_size": "4",
     "stage2.peak_lr": "1e-4",
     "stage2.min_lr": "1e-6",
-    "stage2.mask_ratio": "0.5",
-    "stage2.seed": "0",
     "probe.hidden": "256",
-    "probe.compress": "200",
     "probe.p_drop": "0.1",
-    "probe.lr": "1e-3",
-    "probe.steps": "300",
     "probe.batch_size": "32",
-    "probe.eval_every": "25",
-    "probe.seeds": "5",
-    "probe.seed": "0",
-    "analyze.tau": "1.0",
     "bench.sizes": "4096,8192,16384,32768,65536",
-    "bench.features": "1",
-    "bench.base": "16",
-    "bench.repeats": "3",
 }
 
 

@@ -1,6 +1,7 @@
-"""Training loops for both stages: masking, the masked token-prediction
-objective, Adam-with-decoupled-weight-decay, cosine learning-rate schedule,
-gradient clipping, loss-history emission, and atomic checkpointing.
+"""The training loop shared by both stages and its parts: masking, the masked
+token-prediction objective, Adam-with-decoupled-weight-decay, cosine
+learning-rate schedule, gradient clipping, loss-history emission, and atomic
+checkpointing.
 
 Every stochastic choice in a step (batch membership, mask bits, dropout) is
 drawn from a generator seeded by (run seed, step index), so an interrupted
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -295,6 +297,11 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Any unreadable file, missing manifest key, size disagreement or tensor
+    entry whose bytes do not match its dtype and shape raises CheckpointError.
+    """
     man_path = os.path.join(path, "manifest.json")
     bin_path = os.path.join(path, "tensors.bin")
     try:
@@ -302,28 +309,37 @@ def load_checkpoint(path: str) -> Checkpoint:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable manifest at {man_path}: {e}") from e
-    if manifest.get("version") != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        blob = open(bin_path, "rb").read()
+        with open(bin_path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise CheckpointError(f"unreadable tensor blob at {bin_path}: {e}") from e
-    if len(blob) != manifest["total_bytes"]:
-        raise CheckpointError(
-            f"tensor blob is {len(blob)} bytes, manifest expects {manifest['total_bytes']}"
+    try:
+        if len(blob) != manifest["total_bytes"]:
+            raise CheckpointError(
+                f"tensor blob is {len(blob)} bytes, manifest expects {manifest['total_bytes']}"
+            )
+        tensors = {}
+        for entry in manifest["tensors"]:
+            start, n = entry["offset"], entry["nbytes"]
+            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+            if n != dtype.itemsize * math.prod(shape) or not 0 <= start <= len(blob) - n:
+                raise CheckpointError(
+                    f"tensor {entry['name']!r}: {n} bytes at offset {start} do not hold {dtype} {list(shape)}"
+                )
+            tensors[entry["name"]] = np.frombuffer(blob[start : start + n], dtype=dtype).reshape(shape).copy()
+        return Checkpoint(
+            config=manifest["config"],
+            step=manifest["step"],
+            meta=manifest.get("meta", {}),
+            tensors=tensors,
+            config_hash=manifest["config_hash"],
         )
-    tensors = {}
-    for entry in manifest["tensors"]:
-        start, n = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(blob[start : start + n], dtype=np.dtype(entry["dtype"]))
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return Checkpoint(
-        config=manifest["config"],
-        step=manifest["step"],
-        meta=manifest.get("meta", {}),
-        tensors=tensors,
-        config_hash=manifest["config_hash"],
-    )
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed manifest at {man_path}: {type(e).__name__} {e}") from None
 
 
 def _verify_resume(ckpt: Checkpoint, config: dict) -> None:
@@ -357,7 +373,81 @@ def _derive_seed(seed: int, step: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, step, k]).generate_state(1)[0])
 
 
-# ---- stage-1 loop --------------------------------------------------------------
+# ---- the loop shared by both stages -----------------------------------------
+
+
+def _train(
+    model,
+    data: list,
+    config: TrainConfig,
+    out_dir: str | None,
+    resume_from: str | None,
+    checkpoint_every: int | None,
+    stage: int,
+    step_fn,
+) -> list[dict]:
+    """Optimize `model` for `config.steps` steps; returns the history rows.
+
+    `step_fn(step, items, rng)` builds the batch from the sampled `items`,
+    runs the forward pass and returns the loss tensor and that step's history
+    columns. Everything else is shared: resume, AdamW, the cosine schedule,
+    clipping, the divergence checkpoint, periodic and final checkpoints and
+    `history_stage{stage}.csv`. On a non-finite loss or gradient the step is
+    NOT applied; the last good state is checkpointed to `out_dir`/diverged
+    (when out_dir is set) and DivergenceError raised.
+    """
+    if not data:
+        raise ValueError("empty dataset")
+    params = model.named_params()
+    opt = AdamW(params, betas=config.betas, eps=config.eps, weight_decay=config.weight_decay)
+    full_config = {"train": _config_dict(config), "model": asdict(model.config)}
+
+    def save(step: int, name: str) -> None:
+        save_checkpoint(os.path.join(out_dir, name), {**model.state_dict(), **opt.state_dict()}, full_config, step)
+
+    start_step = 0
+    if resume_from is not None:
+        ckpt = load_checkpoint(resume_from)
+        _verify_resume(ckpt, full_config)
+        model.load_state_dict(ckpt.tensors)
+        opt.load_state_dict(ckpt.tensors)
+        start_step = ckpt.step
+
+    history: list[dict] = []
+    for step in range(start_step, config.steps):
+        rng = _step_rng(config.seed, step)
+        idx = rng.choice(len(data), size=min(config.batch_size, len(data)), replace=len(data) < config.batch_size)
+        lr = cosine_lr(step, config.steps, config.peak_lr, config.min_lr)
+
+        opt.zero_grad()
+        loss, columns = step_fn(step, [data[i] for i in idx], rng)
+        try:
+            backward(loss)
+            _check_finite(float(loss.data), params)
+        except DivergenceError:
+            if out_dir is not None:
+                save(step, "diverged")
+            raise
+        clip_grad_norm(params, config.clip_norm)
+        opt.step(lr)
+
+        history.append({"step": step, "lr": f"{lr:.8e}", **columns})
+        if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
+            save(step + 1, f"step_{step + 1:06d}")
+
+    if out_dir is not None:
+        save(config.steps, "final")
+        write_history_csv(history, os.path.join(out_dir, f"history_stage{stage}.csv"))
+    return history
+
+
+def _config_dict(config: TrainConfig) -> dict:
+    d = asdict(config)
+    d["betas"] = list(d["betas"])
+    return d
+
+
+# ---- stage 1 -------------------------------------------------------------------
 
 
 def train_tokenizer(
@@ -371,87 +461,31 @@ def train_tokenizer(
     """Optimize the tokenizer on a corpus of PatchGrids; returns history rows.
 
     Emits one row per step: learning rate, every loss component, and the
-    cumulative unused-code counts of both codebooks. On a non-finite loss or
-    gradient the step is NOT applied; the last good state is checkpointed to
-    `out_dir`/diverged (when out_dir is set) and DivergenceError raised.
+    cumulative unused-code counts of both codebooks. Divergence handling,
+    checkpoints and resume are those of the shared loop.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    params = model.named_params()
-    opt = AdamW(params, betas=config.betas, eps=config.eps, weight_decay=config.weight_decay)
-    full_config = {"train": _config_dict(config), "model": asdict(model.config)}
-    start_step = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        _verify_resume(ckpt, full_config)
-        model.load_state_dict(ckpt.tensors)
-        opt.load_state_dict(ckpt.tensors)
-        start_step = ckpt.step
-    else:
+    steps_per_epoch = max(1, config.steps // max(1, config.epochs))
+
+    def step_fn(step, grids, rng):
+        losses = stage1_losses(model, make_stage1_batch(grids), train=True, rng=rng)
+        return losses["total"], {
+            "total": f"{float(losses['total'].data):.6f}",
+            "freq_recon": f"{float(losses['freq_recon'].data):.6f}",
+            "temporal_recon": f"{float(losses['temporal_recon'].data):.6f}",
+            "contrastive": f"{float(losses['contrastive'].data):.6f}",
+            "codebook": f"{float(losses['codebook_sg'].data):.6f}",
+            "epoch": step // steps_per_epoch,
+            "unused_t": model.codebook_t.unused_count(),
+            "unused_f": model.codebook_f.unused_count(),
+        }
+
+    if resume_from is None and dataset:  # a fresh run counts code usage from zero
         model.codebook_t.reset_usage()
         model.codebook_f.reset_usage()
-
-    history: list[dict] = []
-    steps_per_epoch = max(1, config.steps // max(1, config.epochs))
-    for step in range(start_step, config.steps):
-        rng = _step_rng(config.seed, step)
-        idx = rng.choice(len(dataset), size=min(config.batch_size, len(dataset)), replace=len(dataset) < config.batch_size)
-        batch = make_stage1_batch([dataset[i] for i in idx])
-        lr = cosine_lr(step, config.steps, config.peak_lr, config.min_lr)
-
-        opt.zero_grad()
-        losses = stage1_losses(model, batch, train=True, rng=rng)
-        total = float(losses["total"].data)
-        try:
-            backward(losses["total"])
-            _check_finite(total, params)
-        except DivergenceError:
-            if out_dir is not None:
-                _save_tokenizer_ckpt(model, opt, full_config, step, os.path.join(out_dir, "diverged"))
-            raise
-        clip_grad_norm(params, config.clip_norm)
-        opt.step(lr)
-
-        history.append(
-            {
-                "step": step,
-                "lr": f"{lr:.8e}",
-                "total": f"{total:.6f}",
-                "freq_recon": f"{float(losses['freq_recon'].data):.6f}",
-                "temporal_recon": f"{float(losses['temporal_recon'].data):.6f}",
-                "contrastive": f"{float(losses['contrastive'].data):.6f}",
-                "codebook": f"{float(losses['codebook_sg'].data):.6f}",
-                "epoch": step // steps_per_epoch,
-                "unused_t": model.codebook_t.unused_count(),
-                "unused_f": model.codebook_f.unused_count(),
-            }
-        )
-        if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
-            _save_tokenizer_ckpt(model, opt, full_config, step + 1, os.path.join(out_dir, f"step_{step + 1:06d}"))
-
-    if out_dir is not None:
-        _save_tokenizer_ckpt(model, opt, full_config, config.steps, os.path.join(out_dir, "final"))
-        write_history_csv(history, os.path.join(out_dir, "history_stage1.csv"))
-    return history
+    return _train(model, dataset, config, out_dir, resume_from, checkpoint_every, 1, step_fn)
 
 
-def _config_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["betas"] = list(d["betas"])
-    return d
-
-
-def _save_tokenizer_ckpt(model, opt, full_config, step, path):
-    tensors = dict(model.state_dict())
-    tensors.update(opt.state_dict())
-    save_checkpoint(path, tensors, full_config, step)
-
-
-# ---- stage-2 loop --------------------------------------------------------------
-
-
-def _flatten_tokens(grid: TokenGrid) -> tuple[np.ndarray, np.ndarray]:
-    return grid.z_t.reshape(-1), grid.z_f.reshape(-1)
+# ---- stage 2 -------------------------------------------------------------------
 
 
 def train_eegssm(
@@ -469,76 +503,28 @@ def train_eegssm(
     embeddings, and minimizes the summed two-head cross entropy over masked
     positions. History rows carry per-head masked top-1 accuracy.
     """
-    if not data:
-        raise ValueError("empty dataset")
-    params = model.named_params()
-    opt = AdamW(params, betas=config.betas, eps=config.eps, weight_decay=config.weight_decay)
-    full_config = {"train": _config_dict(config), "model": asdict(model.config)}
-    start_step = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        _verify_resume(ckpt, full_config)
-        model.load_state_dict(ckpt.tensors)
-        opt.load_state_dict(ckpt.tensors)
-        start_step = ckpt.step
-
     t = model.config.patch_len
-    history: list[dict] = []
-    for step in range(start_step, config.steps):
-        rng = _step_rng(config.seed, step)
-        idx = rng.choice(len(data), size=min(config.batch_size, len(data)), replace=len(data) < config.batch_size)
-        patches, z_t, z_f, masks = [], [], [], []
-        for j, i in enumerate(idx):
-            grid, tokens = data[i]
+
+    def step_fn(step, pairs, rng):
+        patches, masks = [], []
+        for j, (grid, _) in enumerate(pairs):
             c, n = grid.patches.shape[:2]
             patches.append(grid.patches.reshape(c * n, t))
-            zt, zf = _flatten_tokens(tokens)
-            z_t.append(zt)
-            z_f.append(zf)
             for attempt in range(64):
                 pat = sample_mask((c, n), config.mask_ratio, _derive_seed(config.seed, step, j * 64 + attempt))
                 if pat.bits.any():
                     break
             masks.append(pat.flat)
         x = np.stack(patches).astype(np.float32)
-        z_t = np.stack(z_t)
-        z_f = np.stack(z_f)
+        z_t = np.stack([tokens.z_t.reshape(-1) for _, tokens in pairs])
+        z_f = np.stack([tokens.z_f.reshape(-1) for _, tokens in pairs])
         mask = np.stack(masks)
-        lr = cosine_lr(step, config.steps, config.peak_lr, config.min_lr)
-
-        opt.zero_grad()
         out = model.forward(x, mask, train=True, rng=rng)
         loss = masked_token_loss(out, (z_t, z_f), mask)
-        total = float(loss.data)
-        try:
-            backward(loss)
-            _check_finite(total, params)
-        except DivergenceError:
-            if out_dir is not None:
-                _save_eegssm_ckpt(model, opt, full_config, step, os.path.join(out_dir, "diverged"))
-            raise
-        clip_grad_norm(params, config.clip_norm)
-        opt.step(lr)
+        return loss, {
+            "loss": f"{float(loss.data):.6f}",
+            "acc_t": f"{_masked_accuracy(out.logits_t.data, z_t, mask):.4f}",
+            "acc_f": f"{_masked_accuracy(out.logits_f.data, z_f, mask):.4f}",
+        }
 
-        history.append(
-            {
-                "step": step,
-                "lr": f"{lr:.8e}",
-                "loss": f"{total:.6f}",
-                "acc_t": f"{_masked_accuracy(out.logits_t.data, z_t, mask):.4f}",
-                "acc_f": f"{_masked_accuracy(out.logits_f.data, z_f, mask):.4f}",
-            }
-        )
-        if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
-            _save_eegssm_ckpt(model, opt, full_config, step + 1, os.path.join(out_dir, f"step_{step + 1:06d}"))
-
-    if out_dir is not None:
-        _save_eegssm_ckpt(model, opt, full_config, config.steps, os.path.join(out_dir, "final"))
-        write_history_csv(history, os.path.join(out_dir, "history_stage2.csv"))
-    return history
-
-
-def _save_eegssm_ckpt(model, opt, full_config, step, path):
-    tensors = dict(model.state_dict())
-    tensors.update(opt.state_dict())
-    save_checkpoint(path, tensors, full_config, step)
+    return _train(model, data, config, out_dir, resume_from, checkpoint_every, 2, step_fn)

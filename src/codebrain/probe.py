@@ -299,8 +299,7 @@ class ProbeHead:
         return {k: v.data.copy() for k, v in self.named_params().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, t in self.named_params().items():
-            t.data = state[k].astype(t.data.dtype).copy()
+        nn.load_params(self.named_params(), state)
 
 
 def extract_features(model: EegssmModel, grids: list[PatchGrid]) -> np.ndarray:

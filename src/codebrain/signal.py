@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,10 @@ __all__ = [
     "RecordFormatError",
     "freq_features",
     "freq_features_grid",
+    "generator_spec",
     "load_record",
     "parse_generator_config",
+    "parse_key_values",
     "patch",
     "preprocess",
     "save_record",
@@ -432,16 +434,11 @@ def split_stratified(
 # ---- generator spec as key=value text ---------------------------------------
 
 
-def parse_generator_config(text: str) -> GeneratorSpec:
-    """Build a GeneratorSpec from key=value lines.
-
-    Recognized keys: channels, sample_rate, duration, noise_sigma,
-    records_per_class, and one `class.<name>.bands` entry per class whose
-    value is a comma-separated list of low-high:amplitude triples, e.g.
-    `class.alpha.bands = 8-12:40`.
-    """
-    scalars: dict[str, str] = {}
-    class_bands: dict[str, str] = {}
+def parse_key_values(text: str) -> dict[str, str]:
+    """`key = value` lines in file order; blank lines and lines starting
+    with '#' are skipped. A line without '=' or a repeated key raises
+    ValueError naming the line."""
+    out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -450,42 +447,53 @@ def parse_generator_config(text: str) -> GeneratorSpec:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _parse_bands(raw: str) -> tuple[Band, ...]:
+    out = []
+    for part in raw.split(","):
+        part = part.strip()
+        rng_part, _, amp = part.partition(":")
+        lo, _, hi = rng_part.partition("-")
+        try:
+            out.append(Band(low=float(lo), high=float(hi), amplitude=float(amp)))
+        except ValueError:
+            raise ValueError(f"bad band {part!r}; expected low-high:amplitude") from None
+    return tuple(out)
+
+
+def generator_spec(values: dict[str, str]) -> GeneratorSpec:
+    """Build a GeneratorSpec from generator keys and their string values.
+
+    The keys are GeneratorSpec's scalar fields (channels, sample_rate,
+    duration, noise_sigma, records_per_class; absent ones keep their
+    defaults) and one `class.<name>.bands` entry per class, whose value is a
+    comma-separated list of low-high:amplitude triples, e.g.
+    `class.alpha.bands = 8-12:40`. Classes take label ids in the order of
+    `values`.
+    """
+    defaults = {f.name: f.default for f in fields(GeneratorSpec) if f.name != "classes"}
+    scalars = {}
+    classes = []
+    for key, value in values.items():
         if key.startswith("class.") and key.endswith(".bands"):
             name = key[len("class.") : -len(".bands")]
             if not name:
-                raise ValueError(f"line {lineno}: empty class name")
-            if name in class_bands:
-                raise ValueError(f"line {lineno}: duplicate class {name!r}")
-            class_bands[name] = value
-        elif key in ("channels", "sample_rate", "duration", "noise_sigma", "records_per_class"):
-            if key in scalars:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = value
+                raise ValueError(f"empty class name in {key!r}")
+            classes.append(ClassSpec(name=name, bands=_parse_bands(value)))
+        elif key in defaults:
+            scalars[key] = type(defaults[key])(value)  # int or float, as the default
         else:
-            raise ValueError(f"line {lineno}: unknown generator key {key!r}")
-
-    def _bands(raw: str) -> tuple[Band, ...]:
-        out = []
-        for part in raw.split(","):
-            part = part.strip()
-            rng_part, _, amp = part.partition(":")
-            lo, _, hi = rng_part.partition("-")
-            try:
-                out.append(Band(low=float(lo), high=float(hi), amplitude=float(amp)))
-            except ValueError:
-                raise ValueError(f"bad band {part!r}; expected low-high:amplitude") from None
-        return tuple(out)
-
-    classes = tuple(
-        ClassSpec(name=name, bands=_bands(raw)) for name, raw in class_bands.items()
-    )
-    spec = GeneratorSpec(
-        classes=classes,
-        channels=int(scalars.get("channels", 4)),
-        sample_rate=int(scalars.get("sample_rate", 200)),
-        duration=float(scalars.get("duration", 8.0)),
-        noise_sigma=float(scalars.get("noise_sigma", 4.0)),
-        records_per_class=int(scalars.get("records_per_class", 100)),
-    )
+            raise ValueError(f"unknown generator key {key!r}")
+    spec = GeneratorSpec(classes=tuple(classes), **scalars)
     _validate_generator_spec(spec)
     return spec
+
+
+def parse_generator_config(text: str) -> GeneratorSpec:
+    """Build a GeneratorSpec from key=value lines (see `generator_spec`)."""
+    return generator_spec(parse_key_values(text))

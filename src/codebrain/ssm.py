@@ -485,12 +485,7 @@ class EegssmModel:
         return {k: v.data for k, v in self.named_params().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, t in self.named_params().items():
-            if k not in state:
-                raise KeyError(f"missing parameter {k!r} in state")
-            if state[k].shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            t.data = state[k].astype(t.data.dtype).copy()
+        nn.load_params(self.named_params(), state)
 
 
 # ---- benchmark ---------------------------------------------------------------

@@ -41,14 +41,11 @@ __all__ = [
     "UsageReport",
     "class_specific_ratio",
     "code_usage_report",
-    "codebook_loss",
     "contrastive_loss",
     "encode_patch",
-    "freq_loss",
     "make_stage1_batch",
     "quantize",
     "stage1_losses",
-    "temporal_loss",
     "tokenize",
 ]
 
@@ -274,13 +271,7 @@ class TokenizerModel:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_params()
-        for k, t in params.items():
-            if k not in state:
-                raise KeyError(f"missing parameter {k!r} in state")
-            if state[k].shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            t.data = state[k].astype(t.data.dtype).copy()
+        nn.load_params(self.named_params(), state)
         for i, bn in enumerate(self.conv_bns):
             bn.load_buffers({
                 "running_mean": state[f"conv{i}/bn/running_mean"],
@@ -464,21 +455,6 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
         "idx_t": idx_t,
         "idx_f": idx_f,
     }
-
-
-def freq_loss(model: TokenizerModel, batch: Stage1Batch) -> Tensor:
-    """Amplitude + phase reconstruction error (eval mode)."""
-    return stage1_losses(model, batch)["freq_recon"]
-
-
-def temporal_loss(model: TokenizerModel, batch: Stage1Batch) -> Tensor:
-    """Contrastive alignment plus waveform reconstruction (eval mode)."""
-    return stage1_losses(model, batch)["temporal"]
-
-
-def codebook_loss(model: TokenizerModel, batch: Stage1Batch) -> Tensor:
-    """The full tokenizer objective (eval mode)."""
-    return stage1_losses(model, batch)["total"]
 
 
 # ---- tokenization -----------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 import codebrain.cli as cli
 from codebrain.pretrain import DivergenceError
+from codebrain.signal import load_record
 
 TINY_CFG = """
 data.channels = 2
@@ -131,6 +132,22 @@ class TestGenData:
     def test_classes_out_of_range_rejected(self, tmp_path):
         assert run_cli("gen-data", "--classes", "9", "--out", str(tmp_path / "x")) == 2
 
+    def test_desk_classes_in_name_order(self, tmp_path):
+        # the desk preset lists slow first; label ids follow class names
+        args = cli._build_parser().parse_args(["gen-data", "--out", str(tmp_path / "d")])
+        spec = cli._generator_spec(cli.load_run(args))
+        assert [c.name for c in spec.classes] == ["alpha", "beta", "slow"]
+        cfg = _write_cfg(tmp_path, "data.records_per_class = 1\ndata.noise_sigma = 0")
+        assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")) == 0
+        data = tmp_path / "d" / "data"
+        info = json.loads((data / "manifest.json").read_text())
+        for name, label in zip(info["files"], info["labels"]):
+            rec = load_record(data / name)
+            spectrum = np.abs(np.fft.rfft(rec.samples[0]))
+            peak_hz = np.argmax(spectrum) * rec.sample_rate / rec.samples.shape[-1]
+            lo, hi = spec.classes[label].bands[0].low, spec.classes[label].bands[0].high
+            assert lo <= peak_hz <= hi
+
     def test_band_above_nyquist_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "data.sample_rate = 32\ndata.class.slow.bands = 2-4:10\ndata.class.hot.bands = 8-30:10")
         assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
@@ -199,6 +216,21 @@ class TestPrerequisites:
 
     def test_analyze_without_stage1(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "fresh")) == 3
+
+    @pytest.mark.parametrize(
+        "command, key, other",
+        [
+            ("train-ssm", "stage1", "stage2"),
+            ("analyze", "stage1", "stage2"),
+            ("probe", "stage2", "stage1"),
+        ],
+    )
+    def test_checkpoint_of_other_stage_rejected(self, pipeline, tmp_path, capsys, command, key, other):
+        out, cfg = pipeline
+        text = cfg.read_text() + f"paths.{key} = {out / other / 'final'}\n"
+        cfg2 = _write_cfg(tmp_path, text)
+        assert run_cli(command, "--config", str(cfg2), "--out", str(tmp_path / "x")) == 3
+        assert "does not hold" in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):

@@ -4,6 +4,7 @@ divergence handling."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from codebrain.pretrain import (
     train_tokenizer,
     write_history_csv,
 )
+from codebrain.probe import ProbeConfig, ProbeHead
 from codebrain.ssm import EegssmConfig, EegssmModel, EegssmOutput
 from codebrain.tokenizer import TokenGrid, TokenizerModel
 from test_tokenizer import make_grid, tiny_config
@@ -306,6 +308,65 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "nope"))
 
+    def test_blob_closed_after_load(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(path, self.sample_state(), {}, step=0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            load_checkpoint(path)
+        assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+    def saved_manifest(self, tmp_path):
+        save_checkpoint(str(tmp_path), self.sample_state(), {}, step=0)
+        man = tmp_path / "manifest.json"
+        return man, json.loads(man.read_text())
+
+    @pytest.mark.parametrize("key", ["total_bytes", "tensors", "step", "config_hash"])
+    def test_missing_manifest_key_rejected(self, tmp_path, key):
+        man, j = self.saved_manifest(tmp_path)
+        del j[key]
+        man.write_text(json.dumps(j))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(tmp_path))
+
+    def test_entry_bytes_disagreeing_with_dtype_and_shape_rejected(self, tmp_path):
+        man, j = self.saved_manifest(tmp_path)
+        entry = next(e for e in j["tensors"] if e["name"] == "w")
+        entry["shape"] = [3, 5]  # 15 float32 values in a 48-byte slice
+        man.write_text(json.dumps(j))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: TokenizerModel(tiny_config(), rng),
+        lambda rng: EegssmModel(EegssmConfig(patch_len=16, features=8, blocks=1, kernel_len=16, kernel_base=4), rng),
+        lambda rng: ProbeHead(2, 4, 3, ProbeConfig(hidden=8, compress=6), rng),
+    ],
+    ids=["TokenizerModel", "EegssmModel", "ProbeHead"],
+)
+class TestLoadStateDict:
+    def test_missing_key_raises(self, build):
+        model = build(np.random.default_rng(0))
+        state = dict(model.state_dict())
+        del state[next(iter(model.named_params()))]
+        with pytest.raises(KeyError):
+            build(np.random.default_rng(1)).load_state_dict(state)
+
+    def test_wrong_shape_raises(self, build):
+        model = build(np.random.default_rng(0))
+        state = dict(model.state_dict())
+        name = list(model.named_params())[-1]  # checked last: nothing may load
+        state[name] = np.zeros(state[name].shape + (2,), dtype=np.float32)
+        target = build(np.random.default_rng(1))
+        before = {k: v.copy() for k, v in target.state_dict().items()}
+        with pytest.raises(ValueError):
+            target.load_state_dict(state)
+        for k, v in target.state_dict().items():
+            np.testing.assert_array_equal(v, before[k])
+
 
 def stage1_setup(seed=0, n_records=6):
     rng = np.random.default_rng(seed)
@@ -447,11 +508,18 @@ class TestTrainEegssm:
         h_rest = train_eegssm(m3, data, cfg, resume_from=str(tmp_path / "run" / "step_000004"))
         assert h_rest == h_full[4:]
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, tmp_path):
         model, data = stage2_setup()
         model.embed.w.data[0, 0] = np.inf
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        out = str(tmp_path / "run")
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-            train_eegssm(model, data, self.config())
+            train_eegssm(model, data, self.config(), out_dir=out)
+        ckpt = load_checkpoint(os.path.join(out, "diverged"))
+        assert ckpt.step == 0  # the failing step: its update was not applied
+        for k, v in before.items():
+            np.testing.assert_array_equal(ckpt.tensors[k], v)
+            np.testing.assert_array_equal(model.state_dict()[k], v)
 
 
 class TestHistoryCsv:

@@ -15,14 +15,11 @@ from codebrain.tokenizer import (
     TokenizerModel,
     class_specific_ratio,
     code_usage_report,
-    codebook_loss,
     contrastive_loss,
     encode_patch,
-    freq_loss,
     make_stage1_batch,
     quantize,
     stage1_losses,
-    temporal_loss,
     tokenize,
 )
 from codebrain.tokenizer import _quantize_st
@@ -229,7 +226,7 @@ class TestLosses:
         batch = tiny_batch(rng)
         batch.amp_target[:] = 0
         batch.phase_target[:] = 0
-        assert freq_loss(model, batch).item() == 0.0
+        assert stage1_losses(model, batch)["freq_recon"].item() == 0.0
 
     def test_off_by_one_amplitude_gives_patch_len(self):
         # head pinned to constant 1, target 0: sum over T of 1^2 == T
@@ -244,7 +241,7 @@ class TestLosses:
         batch = tiny_batch(rng, t=200)
         batch.amp_target[:] = 0
         batch.phase_target[:] = 0
-        np.testing.assert_allclose(freq_loss(model, batch).item(), 200.0, rtol=1e-6)
+        np.testing.assert_allclose(stage1_losses(model, batch)["freq_recon"].item(), 200.0, rtol=1e-6)
 
     def test_perfect_reconstruction_temporal_equals_contrastive(self):
         cfg = tiny_config()
@@ -286,16 +283,6 @@ class TestLosses:
             + losses["temporal_recon"].item()
         )
         np.testing.assert_allclose(losses["total"].item(), parts, rtol=1e-6)
-
-    def test_standalone_ops_match_components(self):
-        cfg = tiny_config()
-        rng = np.random.default_rng(18)
-        model = TokenizerModel(cfg, rng)
-        batch = tiny_batch(rng)
-        losses = stage1_losses(model, batch)
-        np.testing.assert_allclose(freq_loss(model, batch).item(), losses["freq_recon"].item(), rtol=1e-6)
-        np.testing.assert_allclose(temporal_loss(model, batch).item(), losses["temporal"].item(), rtol=1e-6)
-        np.testing.assert_allclose(codebook_loss(model, batch).item(), losses["total"].item(), rtol=1e-6)
 
     def test_codes_equal_to_embeddings_zero_sg_terms(self):
         cfg = tiny_config(codebook_size=8)
