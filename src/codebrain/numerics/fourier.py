@@ -1,14 +1,19 @@
 """Discrete Fourier transforms and FFT-based convolution.
 
-The transform core is self-contained: power-of-two lengths go through an
-iterative radix-2 decimation-in-time FFT vectorized over leading axes, and
-other lengths fall back to a cached transform-matrix product. Everything
-accumulates in complex128 regardless of the storage dtype handed in.
+`dft_many`/`idft_many` are exact transforms of any length: one product
+with a cached transform matrix, accumulated in complex128. They serve the
+short patch spectra, whose phases feed the tokenizer: numpy.fft rounds
+differently and turns the Nyquist-bin phase of a real patch from -pi + eps
+into +pi, which changes the tokens.
+
+`fft_convolve_arrays` is *causal linear* convolution of two equal-length
+real sequences, truncated back to the input length, i.e.
+y[t] = sum_{s<=t} u[s] * k[t-s]. It runs numpy.fft's real transforms on
+float64 copies of both inputs: numpy keeps float32 transforms in single
+precision, whose rounding would leak into outputs that causality fixes.
 
 Conventions: forward transform X[k] = sum_n x[n] * exp(-2j*pi*k*n/N) with no
-scaling; the inverse divides by N. `fft_convolve` is *causal linear*
-convolution of two equal-length sequences, truncated back to the input
-length, i.e. y[t] = sum_{s<=t} u[s] * k[t-s].
+scaling; the inverse divides by N.
 """
 
 from __future__ import annotations
@@ -39,43 +44,6 @@ def next_pow2(n: int) -> int:
     return p
 
 
-@lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    # permutation that orders indices by reversed bit patterns; n a power of two
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT along the last axis. Last-axis length must be a power of two."""
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"radix-2 transform needs a power-of-two length, got {n}")
-    out = np.ascontiguousarray(x, dtype=np.complex128)[..., _bit_reversal(n)]
-    if n == 1:
-        return out
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        v = out.reshape(out.shape[:-1] + (n // m, m))
-        odd = v[..., half:] * tw
-        even = v[..., :half]
-        # write the odd half first: it does not alias the `even` view
-        v[..., half:] = even - odd
-        v[..., :half] = even + odd
-        m *= 2
-    if inverse:
-        out /= n
-    return out
-
-
 @lru_cache(maxsize=32)
 def _dft_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
@@ -85,16 +53,12 @@ def _dft_matrix(n: int) -> np.ndarray:
 def dft_many(x: np.ndarray) -> np.ndarray:
     """Forward transform along the last axis of a real/complex array.
 
-    Returns complex128. Arbitrary lengths are supported; power-of-two
-    lengths use the fast path.
+    Returns complex128. Any positive length; the cost is O(N^2) per row.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if n == 0:
         raise ValueError("cannot transform an empty signal")
-    if n & (n - 1) == 0:
-        return _fft_pow2(x.astype(np.complex128, copy=False))
-    # exact non-power-of-two path: one cached matrix product
     return x.astype(np.complex128, copy=False) @ _dft_matrix(n).T
 
 
@@ -104,8 +68,6 @@ def idft_many(spec: np.ndarray) -> np.ndarray:
     n = spec.shape[-1]
     if n == 0:
         raise ValueError("cannot invert an empty spectrum")
-    if n & (n - 1) == 0:
-        return _fft_pow2(spec, inverse=True)
     return (spec @ np.conj(_dft_matrix(n)).T) / n
 
 
@@ -160,10 +122,10 @@ def idft(spectrum: ComplexSpectrum) -> np.ndarray:
 def fft_convolve_arrays(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Causal linear convolution along the last axis via spectral product.
 
-    `u` and `k` must share their last-axis length N; leading axes broadcast.
-    Both are zero-padded to the next power of two >= 2N-1 so the circular
-    product realizes linear convolution, then the result is truncated back
-    to N. Output dtype follows numpy promotion of the inputs.
+    `u` and `k` must be real and share their last-axis length N; leading
+    axes broadcast. Both are zero-padded to the next power of two >= 2N-1
+    so the circular product realizes linear convolution, then the result is
+    truncated back to N. Output dtype follows numpy promotion of the inputs.
     """
     u = np.asarray(u)
     k = np.asarray(k)
@@ -176,11 +138,6 @@ def fft_convolve_arrays(u: np.ndarray, k: np.ndarray) -> np.ndarray:
             "pad or truncate the kernel to the signal length first"
         )
     out_dtype = np.result_type(u.dtype, k.dtype)
-    m = next_pow2(2 * n - 1) if n > 1 else 1
-    pad_u = np.zeros(u.shape[:-1] + (m,), dtype=np.complex128)
-    pad_k = np.zeros(k.shape[:-1] + (m,), dtype=np.complex128)
-    pad_u[..., :n] = u
-    pad_k[..., :n] = k
-    prod = _fft_pow2(pad_u) * _fft_pow2(pad_k)
-    full = _fft_pow2(prod, inverse=True).real
-    return full[..., :n].astype(out_dtype)
+    m = next_pow2(2 * n - 1)
+    prod = np.fft.rfft(u.astype(np.float64), m) * np.fft.rfft(k.astype(np.float64), m)
+    return np.fft.irfft(prod, m)[..., :n].astype(out_dtype)

@@ -125,6 +125,17 @@ class TestFftConvolve:
         want = convolve_direct(u, k)
         np.testing.assert_allclose(got, want, atol=1e-5 * max(1.0, np.abs(want).max()))
 
+    def test_float32_inputs_convolve_in_float64(self):
+        # numpy keeps float32 transforms in single precision; the convolution
+        # must not, so float32 inputs give the float64 result rounded once
+        rng = np.random.default_rng(29)
+        u = rng.normal(size=(4, 256)).astype(np.float32)
+        k = rng.normal(size=256).astype(np.float32)
+        got = fft_convolve_arrays(u, k)
+        want = fft_convolve_arrays(u.astype(np.float64), k.astype(np.float64))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fft_convolve_arrays(np.ones(4), np.ones(5))
