@@ -39,6 +39,7 @@ __all__ = [
     "fft_convolve",
     "repeat_last",
     "pad_axis",
+    "band",
 ]
 
 
@@ -422,6 +423,33 @@ def pad_axis(t: Tensor, axis: int, before: int, after: int) -> Tensor:
 
     def vjp(g):
         return (g[sl],)
+
+    return _from_op(out, (t,), vjp)
+
+
+def band(t: Tensor, half: int) -> Tensor:
+    """Windows of a (B, S, F) sequence: out[:, i, j] = t[:, i + j - half].
+
+    Returns a read-only (B, S, 2*half + 1, F) view of the sequence padded
+    with `half` zero rows at each end, so out-of-range rows read as zeros.
+    The adjoint overlap-adds the window slices.
+    """
+    if half < 0:
+        raise ValueError("band half-width must be non-negative")
+    d = t.data
+    if d.ndim != 3:
+        raise ValueError(f"band expects a (B, S, F) sequence, got shape {d.shape}")
+    b, s, f = d.shape
+    w = 2 * half + 1
+    padded = np.pad(d, ((0, 0), (half, half), (0, 0)))
+    s0, s1, s2 = padded.strides
+    out = np.lib.stride_tricks.as_strided(padded, (b, s, w, f), (s0, s1, s1, s2), writeable=False)
+
+    def vjp(g):
+        buf = np.zeros(padded.shape, dtype=g.dtype)
+        for j in range(w):
+            buf[:, j : j + s] += g[:, :, j]
+        return (buf[:, half : half + s],)
 
     return _from_op(out, (t,), vjp)
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import nn
 from .numerics import (
     Tensor,
+    band,
     concat,
     dropout,
     fft_convolve,
@@ -208,21 +209,6 @@ class SwaParams:
         return out
 
 
-def _shift_seq(t: Tensor, delta: int) -> Tensor:
-    """Shift (B, S, F) along S by delta, zero-filling vacated positions.
-
-    Row i of the result holds row i + delta of the input (out-of-range rows
-    are zero), so pairing with the unshifted query aligns i with i + delta.
-    """
-    if delta == 0:
-        return t
-    b, s, f = t.shape
-    zeros = Tensor(np.zeros((b, abs(delta), f), dtype=t.dtype))
-    if delta > 0:
-        return concat([t[:, delta:, :], zeros], axis=1)
-    return concat([zeros, t[:, :s + delta, :]], axis=1)
-
-
 def swa_forward(
     x,
     params: SwaParams,
@@ -233,10 +219,11 @@ def swa_forward(
 ) -> Tensor:
     """Attention where position i attends to |j - i| <= floor(window/2).
 
-    Implemented with shifted key/value copies (O(S * window) work) rather
-    than a masked dense score matrix; out-of-range offsets are excluded
-    through an additive -1e9 before the softmax, which underflows to an
-    exact zero weight.
+    Keys and values are read through one band view (B, S, W, F) of the
+    zero-padded sequence, so scores and the weighted sum are two batched
+    matmuls over W offsets (O(S * window) work) rather than a masked dense
+    score matrix. Offsets that fall outside the sequence get an additive
+    -1e9 before the softmax, which underflows to an exact zero weight.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -245,27 +232,18 @@ def swa_forward(
     if squeeze:
         x = x.reshape(1, *x.shape)
     b, s, f = x.shape
+    half = min(window // 2, s - 1)  # wider offsets never land in the sequence
+    w = 2 * half + 1
     q = params.q(x) * (1.0 / np.sqrt(f))
-    k = params.k(x)
-    v = params.v(x)
-    half = window // 2
-    deltas = [d for d in range(-half, half + 1) if -s < d < s]
-    scores = []
-    idx = np.arange(s)
-    for d in deltas:
-        kd = _shift_seq(k, d)
-        s_d = (q * kd).sum(axis=-1)  # (B, S)
-        valid = (0 <= idx + d) & (idx + d < s)
-        bias = np.where(valid, 0.0, -1e9).astype(np.float32)
-        scores.append(s_d + Tensor(bias))
-    p = softmax(stack(scores, axis=-1), axis=-1)  # (B, S, W)
+    keys = band(params.k(x), half)  # (B, S, W, F)
+    values = band(params.v(x), half)
+    scores = (keys @ q.reshape(b, s, f, 1)).reshape(b, s, w)
+    pos = np.arange(s)[:, None] + np.arange(-half, half + 1)
+    bias = np.where((0 <= pos) & (pos < s), 0.0, -1e9).astype(np.float32)
+    p = softmax(scores + Tensor(bias), axis=-1)  # (B, S, W)
     if train and p_drop > 0:
         p = dropout(p, p_drop, rng, train)
-    out = None
-    for j, d in enumerate(deltas):
-        vd = _shift_seq(v, d)
-        term = p[:, :, j : j + 1] * vd
-        out = term if out is None else out + term
+    out = (p.reshape(b, s, 1, w) @ values).reshape(b, s, f)
     y = params.o(out)
     return y.reshape(s, f) if squeeze else y
 

@@ -7,6 +7,7 @@ from codebrain.numerics import (
     MissingGradientError,
     Tensor,
     backward,
+    band,
     concat,
     conv1d,
     cross_entropy,
@@ -190,6 +191,28 @@ class TestStructuralPrimitives:
             return (pad_axis(x, 1, 2, 1) * 2.0).sum()
 
         check(fn, (2, 3), seed=12)
+
+    @pytest.mark.parametrize("half", [0, 1, 3, 4])
+    def test_band_equals_zero_filled_shifted_rows(self, half):
+        # half = 4 = S - 1: every window but the centre one reaches past an end
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 5, 3)).astype(np.float32)
+        out = band(Tensor(x), half).data
+        assert out.shape == (2, 5, 2 * half + 1, 3)
+        for i in range(5):
+            for j in range(2 * half + 1):
+                r = i + j - half
+                want = x[:, r] if 0 <= r < 5 else np.zeros((2, 3), np.float32)
+                np.testing.assert_array_equal(out[:, i, j], want)
+
+    def test_band_gradient(self):
+        rng = np.random.default_rng(15)
+        w = rng.normal(size=(2, 5, 5, 3))
+
+        def fn(x):
+            return (band(x, 2) * Tensor(w)).sum()
+
+        check(fn, (2, 5, 3), seed=16)
 
     def test_repeat_last_gradient(self):
         def fn(x):

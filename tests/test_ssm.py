@@ -280,6 +280,22 @@ class TestSwaForward:
         with pytest.raises(ValueError):
             swa_forward(np.zeros((4, 2)), params, 0)
 
+    def test_tape_size_independent_of_window(self):
+        # the window is one band op, not a graph node per offset
+        def tape_size(t):
+            seen, todo = set(), [t]
+            while todo:
+                node = todo.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    todo.extend(node._parents)
+            return len(seen)
+
+        rng = np.random.default_rng(37)
+        params = SwaParams.create(4, rng)
+        x = Tensor(rng.normal(size=(2, 40, 4)).astype(np.float32), requires_grad=True)
+        assert tape_size(swa_forward(x, params, 7)) == tape_size(swa_forward(x, params, 31))
+
     def test_gradient(self):
         rng = np.random.default_rng(36)
         params = SwaParams.create(3, rng)
