@@ -57,7 +57,7 @@ from .pretrain import (
     train_eegssm,
     train_tokenizer,
 )
-from .probe import ProbeConfig, compute_metrics, extract_features, train_probe_on_features
+from .probe import ProbeConfig, extract_features, train_probe_on_features
 from .signal import EegRecord, GeneratorSpec, PatchGrid
 from .ssm import EegssmConfig, EegssmModel, bench_backbones, write_bench_csv
 from .tokenizer import (

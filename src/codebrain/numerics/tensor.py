@@ -19,7 +19,7 @@ compositions, because they dominate runtime and their adjoints are exact.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

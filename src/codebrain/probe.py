@@ -14,7 +14,7 @@ any gradient tape.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import nn
 from .numerics import Tensor, backward, cross_entropy, dropout, no_grad
 from .pretrain import AdamW, cosine_lr
 from .signal import PatchGrid
-from .ssm import EegssmModel, stack_forward
+from .ssm import EegssmModel
 
 __all__ = [
     "MetricsReport",

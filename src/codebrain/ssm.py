@@ -27,9 +27,9 @@ from .numerics import (
     dropout,
     fft_convolve,
     fourier,
+    repeat_last,
     rms_norm,
     softmax,
-    stack,
 )
 
 __all__ = [
@@ -81,7 +81,6 @@ class SgconvSpec:
     alpha: float
     weights: Tensor
     normalize: bool = True
-    upsample: str = "nearest"  # or "linear"
 
     def __post_init__(self):
         n = _subkernel_count(self.length, self.base)
@@ -91,8 +90,6 @@ class SgconvSpec:
             )
         if self.weights.ndim != 3:
             raise ValueError("weights must be (features, N, d)")
-        if self.upsample not in ("nearest", "linear"):
-            raise ValueError(f"unknown upsample mode {self.upsample!r}")
 
     @property
     def features(self) -> int:
@@ -123,33 +120,13 @@ class SgconvSpec:
         )
 
 
-def _upsample_linear(w: Tensor, reps: int) -> Tensor:
-    """Piecewise-linear upsample of the last axis by an integer factor."""
-    from .numerics import repeat_last
-
-    if reps == 1:
-        return w
-    d = w.shape[-1]
-    # interpolate between consecutive taps; the final tap extends flat
-    nxt = concat([w[..., 1:], w[..., d - 1 :]], axis=-1)
-    left = repeat_last(w, reps)
-    right = repeat_last(nxt, reps)
-    ramp = np.tile(np.arange(reps, dtype=np.float32) / reps, d)
-    return left + (right - left) * Tensor(ramp)
-
-
 def build_kernel(spec: SgconvSpec) -> Tensor:
     """Assemble the (features, L) convolution kernel from sub-kernel weights."""
-    from .numerics import repeat_last
-
     parts = []
     for i in range(spec.n_subkernels):
         w_i = spec.weights[:, i, :]
         reps = 2 ** max(i - 1, 0)
-        if reps > 1:
-            up = repeat_last(w_i, reps) if spec.upsample == "nearest" else _upsample_linear(w_i, reps)
-        else:
-            up = w_i
+        up = repeat_last(w_i, reps) if reps > 1 else w_i
         parts.append(up * float(spec.alpha**i))
     kernel = concat(parts, axis=-1)
     if spec.normalize:

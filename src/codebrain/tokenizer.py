@@ -267,7 +267,8 @@ class TokenizerModel:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {k: v.data for k, v in self.named_params().items()}
-        out.update(self.named_buffers())
+        # copies: Codebook.nearest counts usage in place
+        out.update({k: v.copy() for k, v in self.named_buffers().items()})
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:

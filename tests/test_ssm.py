@@ -27,10 +27,8 @@ from codebrain.ssm import (
 )
 
 
-def make_spec(features, length, base, rng, alpha=0.5, normalize=True, upsample="nearest"):
-    spec = SgconvSpec.create(features, length, base, rng, alpha=alpha, normalize=normalize)
-    spec.upsample = upsample
-    return spec
+def make_spec(features, length, base, rng, alpha=0.5, normalize=True):
+    return SgconvSpec.create(features, length, base, rng, alpha=alpha, normalize=normalize)
 
 
 def convolve_direct(u, k):
@@ -115,15 +113,6 @@ class TestBuildKernel:
         spec = SgconvSpec(length=8, base=2, alpha=1.0, weights=Tensor(w), normalize=False)
         k = build_kernel(spec).data[0]
         np.testing.assert_allclose(k, [1, 2, 3, 5, 4, 4, 8, 8], atol=1e-7)
-
-    def test_linear_upsample_interpolates(self):
-        w = np.array([[[1.0, 2.0], [3.0, 5.0], [4.0, 8.0]]], dtype=np.float32)
-        spec = SgconvSpec(
-            length=8, base=2, alpha=1.0, weights=Tensor(w), normalize=False, upsample="linear"
-        )
-        k = build_kernel(spec).data[0]
-        # third sub-kernel [4, 8] -> [4, 6, 8, 8] (flat extension at the end)
-        np.testing.assert_allclose(k, [1, 2, 3, 5, 4, 6, 8, 8], atol=1e-6)
 
     def test_invalid_geometry_raises(self):
         w = Tensor(np.ones((1, 3, 2), dtype=np.float32))

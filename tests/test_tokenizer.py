@@ -421,6 +421,16 @@ class TestTokenize:
             assert tokens.z_t.reshape(-1)[s] == it
             assert tokens.z_f.reshape(-1)[s] == if_
 
+    def test_state_dict_is_a_snapshot(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(30)
+        model = TokenizerModel(cfg, rng)
+        snapshot = model.state_dict()
+        tokenize(model, self.make_grid(rng))
+        assert model.codebook_t.usage.sum() > 0
+        assert snapshot["codebook_t/usage"].sum() == 0
+        assert snapshot["codebook_f/usage"].sum() == 0
+
     def test_streams_can_disagree(self):
         # two independent codebooks generally pick different indices
         cfg = tiny_config()
