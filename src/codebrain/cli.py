@@ -216,6 +216,8 @@ def _split_fractions(run: RunConfig) -> tuple[tuple[float, float, float], int]:
         seed = int(sec.get("seed", "0"))
     except ValueError as exc:
         raise ConfigError(f"invalid [split] configuration: {exc}") from None
+    if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-6:
+        raise ConfigError(f"invalid [split] configuration: fractions must be non-negative and sum to 1, got {fracs}")
     return fracs, seed
 
 
@@ -502,6 +504,8 @@ def _read_history(path: Path) -> dict[str, np.ndarray]:
 
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     tau = _convert(run.get("analyze.tau", "1.0"), 1.0, "analyze.tau")
+    if not 0.0 < tau <= 1.0:
+        raise ConfigError(f"analyze.tau must be in (0, 1], got {tau}")
     tok_model = _load_model(run, "stage1")
     records, info = _load_corpus(run)
     out_dir = run.out / "analysis"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, dropout, layer_norm, softmax
+from .numerics import Tensor, layer_norm, softmax
 
 __all__ = [
     "Linear",
@@ -162,23 +162,16 @@ class SelfAttention:
 class TransformerLayer:
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x))."""
 
-    def __init__(self, dim: int, heads: int, mlp_dim: int, rng: np.random.Generator, p_drop: float = 0.0):
+    def __init__(self, dim: int, heads: int, mlp_dim: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.ln2 = LayerNorm(dim)
         self.fc1 = Linear(dim, mlp_dim, rng)
         self.fc2 = Linear(mlp_dim, dim, rng)
-        self.p_drop = p_drop
 
-    def __call__(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        h = self.attn(self.ln1(x))
-        if train and self.p_drop > 0:
-            h = dropout(h, self.p_drop, rng, train)
-        x = x + h
-        h = self.fc2(self.fc1(self.ln2(x)).relu())
-        if train and self.p_drop > 0:
-            h = dropout(h, self.p_drop, rng, train)
-        return x + h
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.ln1(x))
+        return x + self.fc2(self.fc1(self.ln2(x)).relu())
 
     def named_params(self) -> dict[str, Tensor]:
         out = {}
@@ -191,13 +184,13 @@ class TransformerLayer:
 
 
 class TransformerEncoder:
-    def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int, rng: np.random.Generator, p_drop: float = 0.0):
-        self.layers = [TransformerLayer(dim, heads, mlp_dim, rng, p_drop) for _ in range(layers)]
+    def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int, rng: np.random.Generator):
+        self.layers = [TransformerLayer(dim, heads, mlp_dim, rng) for _ in range(layers)]
         self.ln = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
-            x = layer(x, train, rng)
+            x = layer(x)
         return self.ln(x)
 
     def named_params(self) -> dict[str, Tensor]:

@@ -1,12 +1,8 @@
 """Core numerics: autodiff tensors, Fourier transforms, composite functions."""
 
 from .fourier import (
-    ComplexSpectrum,
-    dft,
     dft_many,
     fft_convolve_arrays,
-    idft,
-    idft_many,
     next_pow2,
 )
 from .functional import (
@@ -14,7 +10,6 @@ from .functional import (
     finite_diff_check,
     layer_norm,
     rms_norm,
-    softmax_cross_entropy,
 )
 from .tensor import (
     MissingGradientError,
@@ -34,7 +29,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "ComplexSpectrum",
     "MissingGradientError",
     "Tensor",
     "backward",
@@ -42,14 +36,11 @@ __all__ = [
     "concat",
     "conv1d",
     "cross_entropy",
-    "dft",
     "dft_many",
     "dropout",
     "fft_convolve",
     "fft_convolve_arrays",
     "finite_diff_check",
-    "idft",
-    "idft_many",
     "layer_norm",
     "next_pow2",
     "no_grad",
@@ -57,7 +48,6 @@ __all__ = [
     "repeat_last",
     "rms_norm",
     "softmax",
-    "softmax_cross_entropy",
     "stack",
     "take_rows",
 ]

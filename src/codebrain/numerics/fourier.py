@@ -1,8 +1,8 @@
-"""Discrete Fourier transforms and FFT-based convolution.
+"""The exact discrete Fourier transform and FFT-based convolution.
 
-`dft_many`/`idft_many` are exact transforms of any length: one product
-with a cached transform matrix, accumulated in complex128. They serve the
-short patch spectra, whose phases feed the tokenizer: numpy.fft rounds
+`dft_many` is the exact forward transform of any length: one product with
+a cached transform matrix, accumulated in complex128. It serves the short
+patch spectra, whose phases feed the tokenizer: numpy.fft rounds
 differently and turns the Nyquist-bin phase of a real patch from -pi + eps
 into +pi, which changes the tokens.
 
@@ -12,23 +12,17 @@ y[t] = sum_{s<=t} u[s] * k[t-s]. It runs numpy.fft's real transforms on
 float64 copies of both inputs: numpy keeps float32 transforms in single
 precision, whose rounding would leak into outputs that causality fixes.
 
-Conventions: forward transform X[k] = sum_n x[n] * exp(-2j*pi*k*n/N) with no
-scaling; the inverse divides by N.
+Convention: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N), with no scaling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "ComplexSpectrum",
-    "dft",
-    "idft",
     "dft_many",
-    "idft_many",
     "fft_convolve_arrays",
     "next_pow2",
 ]
@@ -60,63 +54,6 @@ def dft_many(x: np.ndarray) -> np.ndarray:
     if n == 0:
         raise ValueError("cannot transform an empty signal")
     return x.astype(np.complex128, copy=False) @ _dft_matrix(n).T
-
-
-def idft_many(spec: np.ndarray) -> np.ndarray:
-    """Inverse transform along the last axis. Returns complex128."""
-    spec = np.asarray(spec, dtype=np.complex128)
-    n = spec.shape[-1]
-    if n == 0:
-        raise ValueError("cannot invert an empty spectrum")
-    return (spec @ np.conj(_dft_matrix(n)).T) / n
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Real/imaginary parts of a transform, stored as float32 pairs."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.re.shape != self.im.shape:
-            raise ValueError("re/im shape mismatch")
-
-    @property
-    def length(self) -> int:
-        return self.re.shape[-1]
-
-    def amplitude(self) -> np.ndarray:
-        re = self.re.astype(np.float64)
-        im = self.im.astype(np.float64)
-        return np.sqrt(re * re + im * im)
-
-    def phase(self) -> np.ndarray:
-        return np.arctan2(self.im.astype(np.float64), self.re.astype(np.float64))
-
-    def as_complex(self) -> np.ndarray:
-        return self.re.astype(np.float64) + 1j * self.im.astype(np.float64)
-
-
-def dft(signal: np.ndarray) -> ComplexSpectrum:
-    """Transform a real signal (1-D, any positive length) to a ComplexSpectrum."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"dft expects a 1-D signal, got shape {x.shape}")
-    spec = dft_many(x)
-    return ComplexSpectrum(
-        re=spec.real.astype(np.float32), im=spec.imag.astype(np.float32)
-    )
-
-
-def idft(spectrum: ComplexSpectrum) -> np.ndarray:
-    """Invert a real-signal spectrum back to float32 samples.
-
-    The input is assumed to come from a real signal (conjugate-symmetric),
-    so only the real part of the inverse is returned.
-    """
-    rec = idft_many(spectrum.as_complex())
-    return rec.real.astype(np.float32)
 
 
 def fft_convolve_arrays(u: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -6,12 +6,11 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, backward, cross_entropy
+from .tensor import Tensor, backward
 
 __all__ = [
     "rms_norm",
     "layer_norm",
-    "softmax_cross_entropy",
     "dropout",
     "finite_diff_check",
 ]
@@ -31,14 +30,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: floa
     centered = x - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
     return centered / (var + eps) ** 0.5 * gamma + beta
-
-
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of `target` under softmax of a logit vector."""
-    if logits.ndim != 1:
-        raise ValueError(f"expected a logit vector, got shape {logits.shape}")
-    per_row = cross_entropy(logits.reshape(1, -1), np.array([target]))
-    return per_row.sum()
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:

@@ -251,11 +251,6 @@ class Tensor:
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
         )
 
-    def swapaxes(self, a: int, b: int):
-        return _from_op(
-            self.data.swapaxes(a, b), (self,), lambda g: (g.swapaxes(a, b),)
-        )
-
 
 # ---- graph plumbing ------------------------------------------------------
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .numerics import Tensor, backward, cross_entropy
 from .ssm import EegssmModel, EegssmOutput
-from .tokenizer import TokenGrid, TokenizerModel, make_stage1_batch, stage1_losses
+from .tokenizer import TokenizerModel, make_stage1_batch, stage1_losses
 
 __all__ = [
     "AdamW",
@@ -80,21 +80,12 @@ def sample_mask(shape: tuple[int, ...], r: float, seed: int) -> MaskPattern:
 def masked_token_loss(backbone_out: EegssmOutput, tokens, mask) -> Tensor:
     """Cross entropy of both token heads, averaged over masked positions.
 
-    `tokens` is a TokenGrid (single record; its (C, N) streams are flattened
-    channel-major) or a pair of (B, S) integer arrays. `mask` is boolean with
-    the same (B, S) layout. Unmasked positions are removed by multiplication
-    with the 0/1 mask, so their logits receive exactly zero gradient.
+    `tokens` is a pair of (B, S) integer arrays and `mask` a (B, S) boolean
+    array. Unmasked positions are removed by multiplication with the 0/1
+    mask, so their logits receive exactly zero gradient.
     """
-    if isinstance(tokens, TokenGrid):
-        z_t = tokens.z_t.reshape(1, -1)
-        z_f = tokens.z_f.reshape(1, -1)
-    else:
-        z_t, z_f = tokens
+    z_t, z_f = tokens
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim == 1:
-        mask = mask[None, :]
-    z_t = np.asarray(z_t).reshape(mask.shape)
-    z_f = np.asarray(z_f).reshape(mask.shape)
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise ValueError("mask selects no positions; nothing to predict")
@@ -467,7 +458,7 @@ def train_tokenizer(
     steps_per_epoch = max(1, config.steps // max(1, config.epochs))
 
     def step_fn(step, grids, rng):
-        losses = stage1_losses(model, make_stage1_batch(grids), train=True, rng=rng)
+        losses = stage1_losses(model, make_stage1_batch(grids), train=True)
         return losses["total"], {
             "total": f"{float(losses['total'].data):.6f}",
             "freq_recon": f"{float(losses['freq_recon'].data):.6f}",

@@ -34,7 +34,6 @@ __all__ = [
     "compute_metrics",
     "confusion_matrix",
     "extract_features",
-    "probe_forward",
     "train_probe",
     "train_probe_on_features",
 ]
@@ -318,14 +317,6 @@ def extract_features(model: EegssmModel, grids: list[PatchGrid]) -> np.ndarray:
             per_pos = out.features.data[0]  # (S, F)
             feats.append(per_pos.reshape(c, n, -1).mean(axis=1))
     return np.stack(feats)
-
-
-def probe_forward(model: EegssmModel, head: ProbeHead, grid: PatchGrid) -> np.ndarray:
-    """Class logits for one record; backbone and head both in eval mode."""
-    feats = extract_features(model, [grid])
-    with no_grad():
-        logits = head.forward(Tensor(feats))
-    return logits.data[0]
 
 
 # ---- probe training -------------------------------------------------------------

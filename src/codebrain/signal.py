@@ -29,17 +29,14 @@ __all__ = [
     "PatchGrid",
     "RecordFormatError",
     "freq_features",
-    "freq_features_grid",
     "generator_spec",
     "load_record",
-    "parse_generator_config",
     "parse_key_values",
     "patch",
     "preprocess",
     "save_record",
     "split_stratified",
     "synth_generate",
-    "unpatch",
 ]
 
 AMPLITUDE_LIMIT_UV = 100.0
@@ -238,17 +235,6 @@ def patch(record: EegRecord, patch_seconds: float = 1.0) -> PatchGrid:
     )
 
 
-def unpatch(grid: PatchGrid) -> EegRecord:
-    """Reassemble a record from its patch grid (exact inverse of `patch`)."""
-    c, n, t = grid.patches.shape
-    return EegRecord(
-        channels=grid.channel_ids,
-        sample_rate=grid.sample_rate,
-        samples=grid.patches.reshape(c, n * t),
-        label=grid.label,
-    )
-
-
 @dataclass
 class FreqFeatures:
     """Per-patch amplitude/phase spectra, z-scored over bins with stored stats.
@@ -295,11 +281,6 @@ def freq_features(x: np.ndarray) -> FreqFeatures:
         phase_mean=ph_mean.astype(np.float32),
         phase_std=ph_std.astype(np.float32),
     )
-
-
-def freq_features_grid(grid: PatchGrid) -> FreqFeatures:
-    """Spectral features for every patch of a grid, shape (C, N, T) per field."""
-    return freq_features(grid.patches)
 
 
 # ---- synthetic generator ---------------------------------------------------
@@ -411,8 +392,8 @@ def split_stratified(
     """Disjoint train/val/test index sets, shuffled per class so every split
     sees every label."""
     labels = np.asarray(labels)
-    if abs(sum(fractions) - 1.0) > 1e-6:
-        raise ValueError(f"split fractions must sum to 1, got {fractions}")
+    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-6:
+        raise ValueError(f"split fractions must be non-negative and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for cls in np.unique(labels):
@@ -492,8 +473,3 @@ def generator_spec(values: dict[str, str]) -> GeneratorSpec:
     spec = GeneratorSpec(classes=tuple(classes), **scalars)
     _validate_generator_spec(spec)
     return spec
-
-
-def parse_generator_config(text: str) -> GeneratorSpec:
-    """Build a GeneratorSpec from key=value lines (see `generator_spec`)."""
-    return generator_spec(parse_key_values(text))

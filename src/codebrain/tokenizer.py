@@ -29,7 +29,7 @@ from .numerics import (
     no_grad,
     take_rows,
 )
-from .signal import PatchGrid, freq_features_grid
+from .signal import PatchGrid, freq_features
 
 __all__ = [
     "Codebook",
@@ -42,9 +42,7 @@ __all__ = [
     "class_specific_ratio",
     "code_usage_report",
     "contrastive_loss",
-    "encode_patch",
     "make_stage1_batch",
-    "quantize",
     "stage1_losses",
     "tokenize",
 ]
@@ -120,10 +118,11 @@ class Codebook:
     def dim(self) -> int:
         return self.codes.shape[1]
 
-    def nearest(self, queries: np.ndarray, count: bool = True) -> np.ndarray:
+    def nearest(self, queries: np.ndarray) -> np.ndarray:
         """Index of the closest code per query row (squared Euclidean,
-        ties resolved toward the lowest index). Distances are computed in
-        float64 so tie resolution does not depend on storage precision."""
+        ties resolved toward the lowest index), counted in `usage`.
+        Distances are computed in float64 so tie resolution does not depend
+        on storage precision."""
         q = np.asarray(queries, dtype=np.float64)
         if q.ndim == 1:
             q = q[None, :]
@@ -136,8 +135,7 @@ class Codebook:
             block = q[lo : lo + chunk]
             d2 = ((block[:, None, :] - codes[None, :, :]) ** 2).sum(axis=-1)
             out[lo : lo + block.shape[0]] = d2.argmin(axis=1)
-        if count:
-            np.add.at(self.usage, out, 1)
+        np.add.at(self.usage, out, 1)
         return out
 
     def reset_usage(self) -> None:
@@ -145,22 +143,6 @@ class Codebook:
 
     def unused_count(self) -> int:
         return int((self.usage == 0).sum())
-
-
-def quantize(e, codebook: Codebook):
-    """Map an embedding (or a batch of embeddings) to its nearest code.
-
-    Returns (index, code_vector) for a single (D,) query and
-    (indices, code_matrix) for an (M, D) batch. Each call increments the
-    codebook's usage counters.
-    """
-    arr = np.asarray(e.data if isinstance(e, Tensor) else e, dtype=np.float32)
-    single = arr.ndim == 1
-    idx = codebook.nearest(arr)
-    codes = codebook.codes.data[idx]
-    if single:
-        return int(idx[0]), codes[0]
-    return idx, codes
 
 
 @dataclass
@@ -230,7 +212,7 @@ class TokenizerModel:
         fr = self.freq_proj(Tensor(freq_in))
         ep = self.input_proj(concat([h, fr], axis=-1))
         ep = ep + take_rows(self.pos_embed, positions)
-        return self.encoder(ep, train)
+        return self.encoder(ep)
 
     # ---- state -----------------------------------------------------------
 
@@ -317,7 +299,7 @@ def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
     patches = np.stack([g.patches.reshape(c * n, t) for g in grids])
     amps, phases = [], []
     for g in grids:
-        f = freq_features_grid(g)
+        f = freq_features(g.patches)
         amps.append(f.amplitude.reshape(c * n, t))
         phases.append(f.phase.reshape(c * n, t))
     amp = np.stack(amps)
@@ -331,23 +313,6 @@ def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
         positions=positions,
         windows_per_channel=n,
     )
-
-
-def encode_patch(model: TokenizerModel, patch_1d: np.ndarray, freq_amp_z: np.ndarray, position: int = 0) -> np.ndarray:
-    """Embed one patch (eval mode). `freq_amp_z` is the patch's z-scored
-    amplitude spectrum; only the one-sided half feeds the encoder."""
-    t = model.config.patch_len
-    if patch_1d.shape != (t,):
-        raise ValueError(f"expected a ({t},) patch, got {patch_1d.shape}")
-    bins = model.config.freq_bins
-    with no_grad():
-        out = model.encode(
-            patch_1d.reshape(1, 1, t).astype(np.float32),
-            freq_amp_z.reshape(1, 1, -1)[..., :bins].astype(np.float32),
-            np.array([[position]]),
-            train=False,
-        )
-    return out.data[0, 0]
 
 
 # ---- losses -----------------------------------------------------------------
@@ -406,7 +371,7 @@ def _quantize_st(model: TokenizerModel, e_d: Tensor, codebook: Codebook):
     return idx, v, st
 
 
-def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False, rng: np.random.Generator | None = None) -> dict[str, Tensor]:
+def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False) -> dict[str, Tensor]:
     """All tokenizer loss components from one shared encoder pass.
 
     Returns tensors keyed: freq_recon, temporal_recon, contrastive,
@@ -418,12 +383,12 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
     idx_f, v_f, st_f = _quantize_st(model, e_d, model.codebook_f)
     idx_t, v_t, st_t = _quantize_st(model, e_d, model.codebook_t)
 
-    df = model.f_decoder(model.up_f(st_f), train, rng)
+    df = model.f_decoder(model.up_f(st_f))
     freq_recon = _sse_mean(model.f_head_amp(df), batch.amp_target) + _sse_mean(
         model.f_head_phase(df), batch.phase_target
     )
 
-    dt = model.t_decoder(model.up_t(st_t), train, rng)
+    dt = model.t_decoder(model.up_t(st_t))
     temporal_recon = _sse_mean(model.t_head(dt), batch.patches)
 
     h1 = _encode_half(model, batch, second=False, train=train)

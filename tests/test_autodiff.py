@@ -1,5 +1,7 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from codebrain.numerics import (
     repeat_last,
     rms_norm,
     softmax,
-    softmax_cross_entropy,
     stack,
     take_rows,
 )
@@ -122,7 +123,8 @@ class TestPointwisePrimitives:
         ],
     )
     def test_primitive_gradients(self, name, fn):
-        check(fn, (4, 3), seed=hash(name) % 2**31)
+        # str hashes are salted per process; crc32 gives every run the same points
+        check(fn, (4, 3), seed=zlib.crc32(name.encode()))
 
     def test_log_gradient_on_positive_inputs(self):
         check(lambda x: ((x * x) + 0.5).log().sum(), (5,), seed=1)
@@ -287,12 +289,6 @@ class TestFusedOps:
     def test_cross_entropy_target_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-
-    def test_softmax_cross_entropy_vector_form(self):
-        loss = softmax_cross_entropy(Tensor(np.zeros(16)), 3)
-        assert abs(loss.item() - np.log(16)) < 1e-5
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(Tensor(np.zeros((2, 3))), 0)
 
 
 class TestConvPrimitives:

@@ -191,6 +191,29 @@ class TestConfigValidation:
         cfg = _write_cfg(tmp_path, "bench.sizes = 48,64")
         assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["split.train = 0.5", "split.train = 1.2\nsplit.val = -0.2\nsplit.test = 0.0"],
+        ids=["sum", "negative"],
+    )
+    def test_bad_split_fractions_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "x"
+        cfg = _write_cfg(tmp_path, text)
+        assert run_cli("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert "[split]" in capsys.readouterr().err
+        assert not out.exists()  # no record or manifest written
+
+    @pytest.mark.parametrize("tau", ["0", "2"])
+    def test_tau_out_of_range_rejected(self, pipeline, tmp_path, capsys, tau):
+        run, cfg = pipeline
+        text = cfg.read_text() + (
+            f"paths.data = {run / 'data'}\npaths.stage1 = {run / 'stage1' / 'final'}\nanalyze.tau = {tau}"
+        )
+        out = tmp_path / "x"
+        assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == 2
+        assert "analyze.tau" in capsys.readouterr().err
+        assert not out.exists()  # no analysis file written
+
     def test_bad_threads_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CODEBRAIN_THREADS", "many")
         assert run_cli("bench", "--out", str(tmp_path / "x")) == 2

@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name in a
+module's `__all__` is bound in it.
 
-Package `__init__.py` files are skipped: their imports are the re-exports.
+The unused-import check skips package `__init__.py` files: their imports
+are the re-exports. The export check covers them.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "codebrain"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+EXPORTING = sorted(p for p in SRC.rglob("*.py") if "__all__" in p.read_text())
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +33,23 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in the module's `__all__` that no top-level statement binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        exported = [ast.literal_eval(e) for e in node.value.elts]
+    return sorted(name for name in exported if name not in bound)
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom typing import Iterable\nos.sep\n") == ["Iterable (line 2)"]
 
@@ -37,3 +57,13 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unbound_export():
+    source = 'from .a import f\n__all__ = ["f", "g", "h"]\ndef g():\n    pass\n'
+    assert unbound_exports(source) == ["h"]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unbound_exports(path):
+    assert unbound_exports(path.read_text()) == []

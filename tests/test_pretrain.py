@@ -117,20 +117,6 @@ class TestMaskedTokenLoss:
             assert np.all(g[~mask] == 0.0)
             assert np.abs(g[mask]).max() > 0
 
-    def test_token_grid_input_matches_arrays(self):
-        rng = np.random.default_rng(3)
-        k = 8
-        grid = TokenGrid(
-            z_t=rng.integers(0, k, size=(2, 3)).astype(np.int32),
-            z_f=rng.integers(0, k, size=(2, 3)).astype(np.int32),
-        )
-        mask = np.array([[1, 0, 1, 0, 0, 1]], dtype=bool)
-        out1 = logits_output(grid.z_t.reshape(1, -1), grid.z_f.reshape(1, -1), k, fill=0.1)
-        l_grid = masked_token_loss(out1, grid, mask).item()
-        out2 = logits_output(grid.z_t.reshape(1, -1), grid.z_f.reshape(1, -1), k, fill=0.1)
-        l_arr = masked_token_loss(out2, (grid.z_t.reshape(1, -1), grid.z_f.reshape(1, -1)), mask).item()
-        assert l_grid == l_arr
-
     def test_mean_over_masked_positions(self):
         # doubling the masked count with identical per-position CE keeps the mean
         k = 4

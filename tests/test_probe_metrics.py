@@ -21,7 +21,6 @@ from codebrain.probe import (
     compute_metrics,
     confusion_matrix,
     extract_features,
-    probe_forward,
     train_probe,
     train_probe_on_features,
     weighted_f1,
@@ -422,15 +421,3 @@ class TestTrainProbe:
         out = model.forward(grid.patches.reshape(1, 8, 16).astype(np.float32))
         manual = out.features.data[0].reshape(2, 4, -1).mean(axis=1)
         np.testing.assert_allclose(feats[0], manual, rtol=1e-6)
-
-    def test_probe_forward_matches_head(self):
-        model = small_model()
-        rng = np.random.default_rng(11)
-        grid = grid_for_class(rng, 0)
-        cfg = ProbeConfig(hidden=8, compress=8, p_drop=0.0)
-        head = ProbeHead(2, model.config.features, 3, cfg, rng)
-        logits = probe_forward(model, head, grid)
-        assert logits.shape == (3,)
-        feats = extract_features(model, [grid])
-        expected = head.forward(Tensor(feats)).data[0]
-        np.testing.assert_allclose(logits, expected, rtol=1e-6)

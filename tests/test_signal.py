@@ -11,15 +11,14 @@ from codebrain.signal import (
     GeneratorSpec,
     RecordFormatError,
     freq_features,
-    freq_features_grid,
+    generator_spec,
     load_record,
-    parse_generator_config,
+    parse_key_values,
     patch,
     preprocess,
     save_record,
     split_stratified,
     synth_generate,
-    unpatch,
 )
 
 
@@ -153,12 +152,6 @@ class TestPatch:
         with pytest.raises(ValueError):
             patch(rec, 2.5)  # 10-sample windows
 
-    def test_unpatch_is_exact_inverse(self):
-        rec = make_record(c=3, rate=8, seconds=4, label=1, seed=3)
-        back = unpatch(patch(rec, 1.0))
-        assert back.samples.tobytes() == rec.samples.tobytes()
-        assert back.label == 1
-
     def test_patch_times_are_window_starts(self):
         rec = make_record(c=1, rate=4, seconds=3)
         np.testing.assert_allclose(patch(rec, 1.0).patch_times, [0.0, 1.0, 2.0])
@@ -221,7 +214,7 @@ class TestFreqFeatures:
     def test_grid_features_match_per_patch(self):
         rec = make_record(c=2, rate=8, seconds=3, seed=9)
         grid = patch(rec, 1.0)
-        fg = freq_features_grid(grid)
+        fg = freq_features(grid.patches)
         assert fg.amplitude.shape == grid.patches.shape
         single = freq_features(grid.patches[1, 2])
         np.testing.assert_allclose(fg.amplitude[1, 2], single.amplitude, atol=1e-6)
@@ -351,6 +344,9 @@ class TestSplit:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             split_stratified([0, 1], (0.5, 0.2, 0.2), seed=0)
+        # sums to 1, but a negative share would empty the later splits
+        with pytest.raises(ValueError, match="non-negative"):
+            split_stratified(np.repeat([0, 1], 10), (1.2, -0.2, 0.0), seed=0)
 
 
 class TestGeneratorConfigText:
@@ -366,7 +362,7 @@ class TestGeneratorConfigText:
         class.alpha.bands = 8-12:30, 13-15:10
         class.beta.bands = 18-30:40
         """
-        spec = parse_generator_config(text)
+        spec = generator_spec(parse_key_values(text))
         assert spec.channels == 2
         assert spec.noise_sigma == 3.5
         assert len(spec.classes) == 3
@@ -374,10 +370,8 @@ class TestGeneratorConfigText:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            parse_generator_config("channels = 2\nbogus = 1\n")
+            generator_spec(parse_key_values("channels = 2\nbogus = 1\n"))
 
     def test_malformed_band_rejected(self):
         with pytest.raises(ValueError):
-            parse_generator_config(
-                "class.a.bands = 1-4:40\nclass.b.bands = oops\n"
-            )
+            generator_spec(parse_key_values("class.a.bands = 1-4:40\nclass.b.bands = oops\n"))

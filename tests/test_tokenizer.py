@@ -16,9 +16,7 @@ from codebrain.tokenizer import (
     class_specific_ratio,
     code_usage_report,
     contrastive_loss,
-    encode_patch,
     make_stage1_batch,
-    quantize,
     stage1_losses,
     tokenize,
 )
@@ -70,17 +68,13 @@ class TestQuantize:
         rng = np.random.default_rng(0)
         cb = Codebook(2, 2, rng, domain="temporal")
         cb.codes.data = np.array([[0, 0], [1, 1]], dtype=np.float32)
-        idx, code = quantize(np.array([0.9, 1.2], dtype=np.float32), cb)
-        assert idx == 1
-        np.testing.assert_array_equal(code, [1, 1])
+        assert cb.nearest(np.array([0.9, 1.2], dtype=np.float32)).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(1)
         cb = Codebook(2, 2, rng, domain="temporal")
         cb.codes.data = np.array([[0, 0], [1, 1]], dtype=np.float32)
-        idx, code = quantize(np.array([0.5, 0.5], dtype=np.float32), cb)
-        assert idx == 0
-        np.testing.assert_array_equal(code, [0, 0])
+        assert cb.nearest(np.array([0.5, 0.5], dtype=np.float32)).tolist() == [0]
 
     @pytest.mark.parametrize("k", [16, 256])
     def test_bruteforce_oracle(self, k):
@@ -88,8 +82,7 @@ class TestQuantize:
         cb = Codebook(k, 8, rng, domain="frequency")
         cb.codes.data = rng.normal(size=(k, 8)).astype(np.float32)
         q = rng.normal(size=(1000, 8)).astype(np.float32)
-        idx, _ = quantize(q, cb)
-        np.testing.assert_array_equal(idx, nearest_bruteforce(q, cb.codes.data))
+        np.testing.assert_array_equal(cb.nearest(q), nearest_bruteforce(q, cb.codes.data))
 
     def test_planted_duplicate_codes_tie_low(self):
         # identical code rows force exact ties; the lower index must win
@@ -100,14 +93,13 @@ class TestQuantize:
         codes[9] = codes[5]
         cb.codes.data = codes
         q = np.concatenate([codes[3:4], codes[11:12], codes[5:6], codes[9:10]])
-        idx, _ = quantize(q, cb)
-        np.testing.assert_array_equal(idx, [3, 3, 5, 5])
+        np.testing.assert_array_equal(cb.nearest(q), [3, 3, 5, 5])
 
     def test_usage_counts_sum_to_calls(self):
         rng = np.random.default_rng(4)
         cb = Codebook(8, 4, rng, domain="temporal")
-        quantize(rng.normal(size=(30, 4)).astype(np.float32), cb)
-        quantize(rng.normal(size=(4,)).astype(np.float32), cb)
+        cb.nearest(rng.normal(size=(30, 4)).astype(np.float32))
+        cb.nearest(rng.normal(size=(4,)).astype(np.float32))
         assert cb.usage.sum() == 31
 
     def test_empty_codebook_rejected(self):
@@ -117,7 +109,17 @@ class TestQuantize:
     def test_query_width_mismatch(self):
         cb = Codebook(4, 4, np.random.default_rng(6), domain="temporal")
         with pytest.raises(ValueError):
-            quantize(np.zeros(3, dtype=np.float32), cb)
+            cb.nearest(np.zeros(3, dtype=np.float32))
+
+
+def encode_one(model, patch, amp, position):
+    """Eval-mode embedding of a single patch at `position`."""
+    t, bins = model.config.patch_len, model.config.freq_bins
+    with no_grad():
+        out = model.encode(
+            patch.reshape(1, 1, t), amp[:bins].reshape(1, 1, bins), np.array([[position]])
+        )
+    return out.data[0, 0]
 
 
 class TestEncodePatch:
@@ -129,7 +131,7 @@ class TestEncodePatch:
         model = TokenizerModel(cfg, rng)
         patch = rng.normal(size=200).astype(np.float32)
         amp = rng.normal(size=200).astype(np.float32)
-        e = encode_patch(model, patch, amp, position=0)
+        e = encode_one(model, patch, amp, position=0)
         assert e.shape == (200,)
         assert np.all(np.isfinite(e))
 
@@ -139,15 +141,9 @@ class TestEncodePatch:
         model = TokenizerModel(cfg, rng)
         patch = rng.normal(size=16).astype(np.float32)
         amp = rng.normal(size=16).astype(np.float32)
-        e1 = encode_patch(model, patch, amp, position=3)
-        e2 = encode_patch(model, patch, amp, position=3)
+        e1 = encode_one(model, patch, amp, position=3)
+        e2 = encode_one(model, patch, amp, position=3)
         np.testing.assert_array_equal(e1, e2)
-
-    def test_shape_mismatch_raises(self):
-        cfg = tiny_config()
-        model = TokenizerModel(cfg, np.random.default_rng(9))
-        with pytest.raises(ValueError):
-            encode_patch(model, np.zeros(17, dtype=np.float32), np.zeros(16, dtype=np.float32))
 
     def test_conv_arithmetic_oracle(self):
         # output length oracle: floor((L + 2p - k)/s) + 1 per stage
@@ -265,7 +261,7 @@ class TestLosses:
             e = model.encode(batch.patches, batch.freq_in, batch.positions, train=False)
             e_d = model.down(e)
             _, _, st = _quantize_st(model, e_d, model.codebook_t)
-            y = model.t_head(model.t_decoder(model.up_t(st), False, None))
+            y = model.t_head(model.t_decoder(model.up_t(st)))
         direct = ((y.data.astype(np.float64) - batch.patches) ** 2).sum(axis=-1).mean()
         np.testing.assert_allclose(losses["temporal_recon"].item(), direct, rtol=1e-5)
 
@@ -416,10 +412,8 @@ class TestTokenize:
             e_d = model.down(model.encode(batch.patches, batch.freq_in, batch.positions))
         flat = e_d.data.reshape(-1, cfg.code_dim)
         for s in range(flat.shape[0]):
-            it, _ = quantize(flat[s], model.codebook_t)
-            if_, _ = quantize(flat[s], model.codebook_f)
-            assert tokens.z_t.reshape(-1)[s] == it
-            assert tokens.z_f.reshape(-1)[s] == if_
+            assert tokens.z_t.reshape(-1)[s] == model.codebook_t.nearest(flat[s])[0]
+            assert tokens.z_f.reshape(-1)[s] == model.codebook_f.nearest(flat[s])[0]
 
     def test_state_dict_is_a_snapshot(self):
         cfg = tiny_config()
@@ -450,7 +444,7 @@ class TestUsageReport:
 
     def test_self_quantization_uses_everything(self):
         cb = Codebook(16, 4, np.random.default_rng(31), domain="temporal")
-        quantize(cb.codes.data.copy(), cb)
+        cb.nearest(cb.codes.data.copy())
         rep = code_usage_report(cb)
         assert rep.unused == 0
         assert rep.counts.sum() == 16
@@ -458,7 +452,7 @@ class TestUsageReport:
     def test_csv_export(self, tmp_path):
         cb = Codebook(4, 2, np.random.default_rng(32), domain="frequency")
         cb.codes.data = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=np.float32)
-        quantize(np.array([[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]], dtype=np.float32), cb)
+        cb.nearest(np.array([[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]], dtype=np.float32))
         rep = code_usage_report(cb)
         path = tmp_path / "usage.csv"
         rep.to_csv(path)
