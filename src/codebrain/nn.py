@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, layer_norm, softmax
+from .numerics import Tensor, attention, layer_norm
 
 __all__ = [
     "Linear",
@@ -147,9 +147,8 @@ class SelfAttention:
         q = self._split(self.q(x), b, s)
         k = self._split(self.k(x), b, s)
         v = self._split(self.v(x), b, s)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-        attn = softmax(scores, axis=-1)
-        out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, s, self.dim)
+        out = attention(q, k, v, 1.0 / np.sqrt(hd))
+        out = out.transpose(0, 2, 1, 3).reshape(b, s, self.dim)
         return self.o(out)
 
     def named_params(self) -> dict[str, Tensor]:

@@ -14,6 +14,7 @@ from .functional import (
 from .tensor import (
     MissingGradientError,
     Tensor,
+    attention,
     backward,
     band,
     concat,
@@ -31,6 +32,7 @@ from .tensor import (
 __all__ = [
     "MissingGradientError",
     "Tensor",
+    "attention",
     "backward",
     "band",
     "concat",

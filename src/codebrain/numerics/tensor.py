@@ -34,6 +34,7 @@ __all__ = [
     "stack",
     "take_rows",
     "softmax",
+    "attention",
     "cross_entropy",
     "conv1d",
     "fft_convolve",
@@ -327,7 +328,10 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     out = da * db
 
     def vjp(g):
-        return (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape))
+        return (
+            _unbroadcast(g * db, da.shape) if a.requires_grad else None,
+            _unbroadcast(g * da, db.shape) if b.requires_grad else None,
+        )
 
     return _from_op(out, (a, b), vjp)
 
@@ -337,8 +341,8 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
     out = da / db
 
     def vjp(g):
-        ga = _unbroadcast(g / db, da.shape)
-        gb = _unbroadcast(-g * da / (db * db), db.shape)
+        ga = _unbroadcast(g / db, da.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * da / (db * db), db.shape) if b.requires_grad else None
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp)
@@ -351,8 +355,8 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
     out = da @ db
 
     def vjp(g):
-        ga = _unbroadcast(g @ db.swapaxes(-1, -2), da.shape)
-        gb = _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape)
+        ga = _unbroadcast(g @ db.swapaxes(-1, -2), da.shape) if a.requires_grad else None
+        gb = _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape) if b.requires_grad else None
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp)
@@ -478,6 +482,40 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     return _from_op(s, (t,), vjp)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q @ kᵀ * scale) @ v over (..., S, d) heads, as one tape node.
+
+    Forward and adjoint evaluate the same array expressions, in the same
+    order, as the chain matmul, scale, softmax, matmul, so outputs and
+    gradients match it bit for bit. Only the attention weights are kept for
+    the backward pass; the scores and their gradients never reach the tape.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    sc = _as_array(scale)  # the 0-d float32 array the chain multiplies by
+    p = (qd @ kd.swapaxes(-1, -2)) * sc
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ vd
+
+    def vjp(g):
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = p.swapaxes(-1, -2) @ g
+        if q.requires_grad or k.requires_grad:
+            gs = g @ vd.swapaxes(-1, -2)  # softmax and scale adjoints, in place
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= sc
+            if q.requires_grad:
+                gq = gs @ kd
+            if k.requires_grad:
+                gk = (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return (gq, gk, gv)
+
+    return _from_op(out, (q, k, v), vjp)
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Per-row negative log-likelihood of integer targets.
 
@@ -541,15 +579,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     out = out.astype(np.result_type(xd, wd), copy=False)
 
     def vjp(g):
-        dw = np.einsum("bol,bclk->ock", g, win, optimize=True)
-        dxp = np.zeros_like(xp, dtype=g.dtype)
-        for t in range(k):
-            dxp[:, :, t : t + stride * lout : stride] += np.einsum(
-                "bol,oc->bcl", g, wd[:, :, t], optimize=True
-            )
-        dx = dxp[:, :, pad : pad + xd.shape[2]] if pad else dxp
+        dx = dw = None
+        if x.requires_grad:
+            dxp = np.zeros_like(xp, dtype=g.dtype)
+            for t in range(k):
+                dxp[:, :, t : t + stride * lout : stride] += np.einsum(
+                    "bol,oc->bcl", g, wd[:, :, t], optimize=True
+                )
+            dx = dxp[:, :, pad : pad + xd.shape[2]] if pad else dxp
+        if w.requires_grad:
+            dw = np.einsum("bol,bclk->ock", g, win, optimize=True)
         if b is not None:
-            return (dx, dw, g.sum(axis=(0, 2)))
+            return (dx, dw, g.sum(axis=(0, 2)) if b.requires_grad else None)
         return (dx, dw)
 
     return _from_op(out, parents, vjp)
@@ -568,12 +609,12 @@ def fft_convolve(u: Tensor, k: Tensor) -> Tensor:
 
     def vjp(g):
         gf = g[..., ::-1]
-        du = fourier.fft_convolve_arrays(gf, kd)[..., ::-1]
-        dk = fourier.fft_convolve_arrays(gf, ud)[..., ::-1]
-        return (
-            _unbroadcast(du, ud.shape),
-            _unbroadcast(dk, kd.shape),
-        )
+        du = dk = None
+        if u.requires_grad:
+            du = _unbroadcast(fourier.fft_convolve_arrays(gf, kd)[..., ::-1], ud.shape)
+        if k.requires_grad:
+            dk = _unbroadcast(fourier.fft_convolve_arrays(gf, ud)[..., ::-1], kd.shape)
+        return (du, dk)
 
     return _from_op(out, (u, k), vjp)
 
@@ -625,7 +666,12 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
+                # a leaf owns its gradient (clip_grad_norm scales it in
+                # place); an inner node only reads it, so a view will do
+                if parent._parents:
+                    parent.grad = np.asarray(g, dtype=parent.data.dtype)
+                else:
+                    parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
             else:
                 parent.grad = parent.grad + g
         node._vjp = None  # consume the tape

@@ -11,6 +11,7 @@ would have taken.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -145,13 +146,15 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most `max_norm`.
 
     Returns the pre-clip norm. Parameters without gradients are skipped.
+    A non-finite norm scales nothing, so the caller sees the gradients as
+    they were.
     """
     total = 0.0
     grads = [p.grad for p in params.values() if p.grad is not None]
     for g in grads:
         total += float((g.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    if max_norm < norm < np.inf:
         scale = max_norm / (norm + 1e-12)
         for g in grads:
             g *= scale
@@ -215,12 +218,17 @@ class AdamW:
             self.v[k] = state[f"adam/v/{k}"].copy()
 
 
-def _check_finite(loss_value: float, params: dict[str, Tensor]) -> None:
-    if not np.isfinite(loss_value):
-        raise DivergenceError(f"non-finite loss {loss_value}")
-    for k, p in params.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise DivergenceError(f"non-finite gradient in {k}")
+def _divergence(step: int, loss_value: float, norm: float | None, params: dict[str, Tensor], last_finite) -> DivergenceError:
+    """The error for a step whose loss, or else gradient norm (`norm`, None
+    when the loss was not finite), is not finite."""
+    if norm is not None:
+        last_finite = (step, loss_value)
+    bad = next((k for k, p in params.items() if p.grad is not None and not np.all(np.isfinite(p.grad))), None)
+    return DivergenceError("; ".join([
+        f"step {step}: non-finite " + (f"loss {loss_value}" if norm is None else f"gradient norm {norm}"),
+        f"first non-finite gradient in {bad}" if bad else "every gradient finite",
+        f"last finite loss {last_finite[1]:.6g} at step {last_finite[0]}" if last_finite else "no finite loss in this run",
+    ]))
 
 
 # ---- checkpoints ---------------------------------------------------------------
@@ -346,14 +354,20 @@ def _verify_resume(ckpt: Checkpoint, config: dict) -> None:
 
 
 def write_history_csv(rows: list[dict], path) -> None:
-    import csv
-
     if not rows:
         raise ValueError("empty history")
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         w.writeheader()
         w.writerows(rows)
+
+
+def _read_history(path: str, before: int) -> list[dict]:
+    """Rows of an existing history CSV with step < `before` ([] if none)."""
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as fh:
+        return [row for row in csv.DictReader(fh) if int(row["step"]) < before]
 
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
@@ -377,15 +391,19 @@ def _train(
     stage: int,
     step_fn,
 ) -> list[dict]:
-    """Optimize `model` for `config.steps` steps; returns the history rows.
+    """Optimize `model` for `config.steps` steps; returns the history rows
+    of the steps this call ran.
 
     `step_fn(step, items, rng)` builds the batch from the sampled `items`,
     runs the forward pass and returns the loss tensor and that step's history
     columns. Everything else is shared: resume, AdamW, the cosine schedule,
     clipping, the divergence checkpoint, periodic and final checkpoints and
-    `history_stage{stage}.csv`. On a non-finite loss or gradient the step is
-    NOT applied; the last good state is checkpointed to `out_dir`/diverged
-    (when out_dir is set) and DivergenceError raised.
+    `history_stage{stage}.csv`, written with every checkpoint. A resumed run
+    keeps that file's rows from before its checkpoint, so its history reads
+    as that of an uninterrupted run. On a non-finite loss or gradient norm
+    the step is NOT applied; the last good state is checkpointed to
+    `out_dir`/diverged (when out_dir is set) and DivergenceError raised,
+    naming the step, the first non-finite gradient and the last finite loss.
     """
     if not data:
         raise ValueError("empty dataset")
@@ -404,7 +422,10 @@ def _train(
         opt.load_state_dict(ckpt.tensors)
         start_step = ckpt.step
 
+    history_path = os.path.join(out_dir, f"history_stage{stage}.csv") if out_dir is not None else None
+    earlier = _read_history(history_path, start_step) if resume_from is not None and history_path else []
     history: list[dict] = []
+    last_finite = None
     for step in range(start_step, config.steps):
         rng = _step_rng(config.seed, step)
         idx = rng.choice(len(data), size=min(config.batch_size, len(data)), replace=len(data) < config.batch_size)
@@ -412,23 +433,24 @@ def _train(
 
         opt.zero_grad()
         loss, columns = step_fn(step, [data[i] for i in idx], rng)
-        try:
-            backward(loss)
-            _check_finite(float(loss.data), params)
-        except DivergenceError:
+        backward(loss)
+        loss_value = float(loss.data)
+        norm = clip_grad_norm(params, config.clip_norm) if np.isfinite(loss_value) else None
+        if norm is None or not np.isfinite(norm):  # nothing was scaled; the update is not applied
             if out_dir is not None:
                 save(step, "diverged")
-            raise
-        clip_grad_norm(params, config.clip_norm)
+            raise _divergence(step, loss_value, norm, params, last_finite)
+        last_finite = (step, loss_value)
         opt.step(lr)
 
         history.append({"step": step, "lr": f"{lr:.8e}", **columns})
         if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
             save(step + 1, f"step_{step + 1:06d}")
+            write_history_csv(earlier + history, history_path)
 
     if out_dir is not None:
         save(config.steps, "final")
-        write_history_csv(history, os.path.join(out_dir, f"history_stage{stage}.csv"))
+        write_history_csv(earlier + history, history_path)
     return history
 
 

@@ -121,21 +121,40 @@ class Codebook:
     def nearest(self, queries: np.ndarray) -> np.ndarray:
         """Index of the closest code per query row (squared Euclidean,
         ties resolved toward the lowest index), counted in `usage`.
-        Distances are computed in float64 so tie resolution does not depend
-        on storage precision."""
+
+        Codes are ranked by ‖c‖² − 2 q·cᵀ in one float64 matrix product.
+        Rows whose runner-up lies within the rounding bound of that
+        expansion are re-ranked with the exact ((q − c)**2).sum(-1), so the
+        result is that of an exhaustive float64 search, ties included."""
         q = np.asarray(queries, dtype=np.float64)
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[-1] != self.dim:
             raise ValueError(f"query width {q.shape[-1]} != code width {self.dim}")
         codes = self.codes.data.astype(np.float64)
-        out = np.empty(q.shape[0], dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, self.size * self.dim))
-        for lo in range(0, q.shape[0], chunk):
-            block = q[lo : lo + chunk]
-            d2 = ((block[:, None, :] - codes[None, :, :]) ** 2).sum(axis=-1)
-            out[lo : lo + block.shape[0]] = d2.argmin(axis=1)
-        np.add.at(self.usage, out, 1)
+        c2 = (codes * codes).sum(axis=-1)
+        score = q @ codes.T
+        score *= -2.0
+        score += c2
+        out = score.argmin(axis=1)
+        best = score[np.arange(out.size), out]
+        # each formula errs on a distance by at most (D + 2) eps times
+        # (‖q‖ + max ‖c‖)²; a runner-up further behind than both errors on
+        # both distances cannot win the exact search
+        bound = 4 * (self.dim + 2) * np.finfo(np.float64).eps * (
+            np.sqrt((q * q).sum(axis=-1)) + np.sqrt(c2.max())
+        ) ** 2
+        near = score <= (best + bound)[:, None]
+        near[~np.isfinite(best)] = True
+        rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        chunk = max(1, (1 << 20) // (self.size * self.dim))
+        for lo in range(0, rows.size, chunk):
+            sel = rows[lo : lo + chunk]
+            r, k = np.nonzero(near[sel])
+            exact = np.full((sel.size, self.size), np.inf)
+            exact[r, k] = ((q[sel[r]] - codes[k]) ** 2).sum(axis=-1)
+            out[sel] = exact.argmin(axis=1)
+        self.usage += np.bincount(out, minlength=self.size)
         return out
 
     def reset_usage(self) -> None:

@@ -5,9 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
+from codebrain.nn import SelfAttention
 from codebrain.numerics import (
     MissingGradientError,
     Tensor,
+    attention,
     backward,
     band,
     concat,
@@ -25,6 +27,7 @@ from codebrain.numerics import (
     stack,
     take_rows,
 )
+from codebrain.pretrain import clip_grad_norm
 
 TOL = 1e-4  # primitive-level relative tolerance vs central differences
 
@@ -101,6 +104,111 @@ class TestGraphSemantics:
         backward((a + b).sum())
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, np.full(3, 2.0))
+
+
+    def test_leaves_fed_by_one_add_own_their_gradients(self):
+        # add hands both parents the same array; each leaf must get its own
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        backward((a + b).sum())
+        assert not np.shares_memory(a.grad, b.grad)
+        clip_grad_norm({"a": a}, 1e-3)
+        np.testing.assert_array_equal(b.grad, np.ones(3, dtype=np.float32))
+
+
+def _tape(t: Tensor) -> list[Tensor]:
+    """Every tensor reachable from `t` through recorded parents."""
+    seen, todo, out = set(), [t], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            todo.extend(node._parents)
+    return out
+
+
+# binary ops whose vjp skips the adjoint of a constant operand
+CONSTANT_OPERAND_OPS = {
+    "mul": (lambda a, b: a * b, (3, 4), (3, 4)),
+    "div": (lambda a, b: a / b, (3, 4), (3, 4)),
+    "matmul": (lambda a, b: a @ b, (3, 4), (4, 2)),
+    "conv1d": (lambda a, b: conv1d(a, b, stride=2, pad=1), (2, 3, 9), (4, 3, 3)),
+    "fft_convolve": (lambda a, b: fft_convolve(a, b), (3, 8), (8,)),
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("const", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("name", list(CONSTANT_OPERAND_OPS))
+    def test_constant_operand_gets_no_gradient(self, name, const):
+        fn, shape_a, shape_b = CONSTANT_OPERAND_OPS[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        a0 = rng.uniform(0.5, 1.5, size=shape_a).astype(np.float32)
+        b0 = rng.uniform(0.5, 1.5, size=shape_b).astype(np.float32)
+        probe = rng.normal(size=fn(Tensor(a0), Tensor(b0)).shape).astype(np.float32)
+
+        both = [Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)]
+        backward((fn(*both) * Tensor(probe)).sum())
+
+        ops = [Tensor(a0, requires_grad=const != 0), Tensor(b0, requires_grad=const != 1)]
+        out = fn(*ops)
+        assert out._vjp(np.ones_like(out.data))[const] is None
+        backward((out * Tensor(probe)).sum())
+        assert ops[const].grad is None
+        np.testing.assert_array_equal(ops[1 - const].grad, both[1 - const].grad)
+
+
+def _attention_chain(q, k, v, scale):
+    """The composed graph that `attention` replaces."""
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    return softmax(scores, axis=-1) @ v
+
+
+class TestAttention:
+    @pytest.mark.parametrize("split_heads", [False, True], ids=["leaves", "split_heads"])
+    def test_bit_equal_to_composed_chain(self, split_heads):
+        # split_heads feeds (B, H, S, hd) views of (B, S, H*hd) leaves, as
+        # SelfAttention does
+        rng = np.random.default_rng(41)
+        b, h, s, hd = 2, 3, 7, 4
+        shape = (b, s, h * hd) if split_heads else (b, h, s, hd)
+        arrays = [rng.normal(size=shape).astype(np.float32) for _ in range(3)]
+        probe = Tensor(rng.normal(size=(b, h, s, hd)).astype(np.float32))
+        results = []
+        for op in (attention, _attention_chain):
+            leaves = [Tensor(x, requires_grad=True) for x in arrays]
+            heads = [t.reshape(b, s, h, hd).transpose(0, 2, 1, 3) for t in leaves] if split_heads else leaves
+            out = op(*heads, 1.0 / np.sqrt(hd))
+            backward((out * probe).sum())
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+    def test_gradient(self, which):
+        rng = np.random.default_rng(42)
+        qkv = [rng.normal(size=(2, 2, 5, 3)) for _ in range(3)]
+        probe = rng.normal(size=(2, 2, 5, 3))
+
+        def fn(x):
+            args = [Tensor(a, dtype=np.float64) for a in qkv]
+            args[which] = x
+            return (attention(*args, 0.5) * Tensor(probe, dtype=np.float64)).sum()
+
+        assert finite_diff_check(fn, qkv[which], eps=1e-5) < 1e-6
+
+    def test_self_attention_tape_holds_no_scores(self):
+        # the scores, their scaled copy and the weights stay off the tape:
+        # the core is one node between the head split and the merge
+        rng = np.random.default_rng(43)
+        s, dim, heads = 9, 8, 2
+        x = Tensor(rng.normal(size=(2, s, dim)).astype(np.float32), requires_grad=True)
+        tape = _tape(SelfAttention(dim, heads, rng)(x))
+        linear = 6  # input reshape, w, matmul, b, add, output reshape
+        assert len(tape) == 1 + 4 * linear + 3 * 2 + 1 + 2  # x, q/k/v/o, head splits, core, merge
+        assert not [t.shape for t in tape if t.shape[-2:] == (s, s)]
 
 
 class TestPointwisePrimitives:

@@ -4,11 +4,14 @@ divergence handling."""
 
 import json
 import os
+import re
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
+from codebrain import pretrain
 from codebrain.numerics import Tensor, backward
 from codebrain.pretrain import (
     AdamW,
@@ -176,6 +179,15 @@ class TestClipGradNorm:
         total = np.linalg.norm(np.concatenate([a.grad, b.grad]))
         np.testing.assert_allclose(total, 1.0, rtol=1e-5)
 
+
+    def test_non_finite_norm_scales_nothing(self):
+        a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        a.grad = np.array([np.inf, 1.0], dtype=np.float32)
+        b.grad = np.array([100.0, -100.0], dtype=np.float32)
+        assert clip_grad_norm({"a": a, "b": b}, 1.0) == np.inf
+        np.testing.assert_array_equal(a.grad, [np.inf, 1.0])
+        np.testing.assert_array_equal(b.grad, [100.0, -100.0])
 
 class TestAdamW:
     def test_matches_reference_formulas(self):
@@ -424,6 +436,42 @@ class TestTrainTokenizer:
             train_tokenizer(model, data, self.config(), out_dir=out)
         assert os.path.exists(os.path.join(out, "diverged", "manifest.json"))
 
+    def test_divergence_names_step_tensor_and_last_finite_loss(self, tmp_path, monkeypatch):
+        cfg = self.config(steps=4)
+        m_ref, data = stage1_setup()
+        h_ref = train_tokenizer(m_ref, data, cfg, out_dir=str(tmp_path / "ref"), checkpoint_every=2)
+
+        model, _ = stage1_setup()
+        params = model.named_params()
+        real, calls, grads = pretrain.backward, [], {}
+
+        def poisoned(loss):  # step 2's gradient of t_head/w turns infinite
+            real(loss)
+            calls.append(loss)
+            if len(calls) == 3:
+                params["t_head/w"].grad[0, 0] = np.inf
+                grads.update({k: p.grad.copy() for k, p in params.items() if p.grad is not None})
+
+        monkeypatch.setattr(pretrain, "backward", poisoned)
+        out = str(tmp_path / "run")
+        with pytest.raises(DivergenceError) as info:
+            train_tokenizer(model, data, cfg, out_dir=out)
+        msg = str(info.value)
+        assert msg.startswith("step 2: non-finite gradient norm inf")
+        assert "first non-finite gradient in t_head/w" in msg
+        last = re.search(r"last finite loss (\S+) at step 2$", msg)
+        assert last and float(last.group(1)) == pytest.approx(float(h_ref[2]["total"]), rel=1e-5)
+        for k, g in grads.items():  # raised before any gradient was scaled
+            np.testing.assert_array_equal(params[k].grad, g)
+        # diverged/ holds the parameters and optimizer state from before step 2
+        before = load_checkpoint(str(tmp_path / "ref" / "step_000002")).tensors
+        diverged = load_checkpoint(os.path.join(out, "diverged"))
+        assert diverged.step == 2
+        for k in [*params, *(k for k in before if k.startswith("adam/"))]:
+            np.testing.assert_array_equal(diverged.tensors[k], before[k])
+            if k in params:
+                np.testing.assert_array_equal(params[k].data, before[k])
+
     def test_empty_dataset_raises(self):
         model, _ = stage1_setup()
         with pytest.raises(ValueError):
@@ -506,6 +554,58 @@ class TestTrainEegssm:
         for k, v in before.items():
             np.testing.assert_array_equal(ckpt.tensors[k], v)
             np.testing.assert_array_equal(model.state_dict()[k], v)
+
+    def test_divergence_on_first_loss_names_it(self):
+        model, data = stage2_setup()
+        model.embed.w.data[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+            train_eegssm(model, data, self.config())
+        msg = str(info.value)
+        assert msg.startswith("step 0: non-finite loss nan; first non-finite gradient in ")
+        assert msg.endswith("; no finite loss in this run")
+
+
+def _train_stage(stage, out_dir, **kw):
+    """Six steps of either stage with a checkpoint every two."""
+    if stage == 1:
+        model, data = stage1_setup()
+        return train_tokenizer(model, data, TestTrainTokenizer().config(steps=6), out_dir=out_dir, checkpoint_every=2, **kw)
+    model, data = stage2_setup()
+    return train_eegssm(model, data, TestTrainEegssm().config(steps=6), out_dir=out_dir, checkpoint_every=2, **kw)
+
+
+class _Killed(Exception):
+    pass
+
+
+class TestResumeEquivalence:
+    @pytest.mark.parametrize("interrupted", [False, True], ids=["after_completion", "after_interruption"])
+    @pytest.mark.parametrize("boundary", [2, 4, 6])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_history_and_final_checkpoint_match_uninterrupted(self, tmp_path, monkeypatch, stage, boundary, interrupted):
+        full = str(tmp_path / "full")
+        _train_stage(stage, full)
+        run = str(tmp_path / "run")
+        if interrupted:  # the process dies right after writing checkpoint `boundary`
+            real = pretrain.write_history_csv
+
+            def dying(rows, path):
+                real(rows, path)
+                if len(rows) == boundary:
+                    raise _Killed
+
+            monkeypatch.setattr(pretrain, "write_history_csv", dying)
+            with pytest.raises(_Killed):
+                _train_stage(stage, run)
+            monkeypatch.undo()
+            assert not os.path.exists(os.path.join(run, "final"))
+        else:  # resumed into the directory of a finished run
+            shutil.copytree(full, run)
+        rows = _train_stage(stage, run, resume_from=os.path.join(run, f"step_{boundary:06d}"))
+        assert [r["step"] for r in rows] == list(range(boundary, 6))
+        for name in (f"history_stage{stage}.csv", "final/manifest.json", "final/tensors.bin"):
+            with open(os.path.join(full, name), "rb") as a, open(os.path.join(run, name), "rb") as b:
+                assert a.read() == b.read(), name
 
 
 class TestHistoryCsv:

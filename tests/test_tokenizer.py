@@ -84,6 +84,21 @@ class TestQuantize:
         q = rng.normal(size=(1000, 8)).astype(np.float32)
         np.testing.assert_array_equal(cb.nearest(q), nearest_bruteforce(q, cb.codes.data))
 
+    def test_clustered_codes_far_from_origin(self):
+        # a tight cluster around a large offset: the expansion ‖c‖² − 2 q·cᵀ
+        # cancels most of the digits that separate the codes, so only the
+        # exact re-rank of near rows keeps the brute-force answer
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            k, d = int(rng.integers(2, 33)), int(rng.integers(2, 17))
+            offset = rng.normal(size=d)
+            offset *= 10 ** rng.uniform(1, 4) / np.linalg.norm(offset)
+            spread = 10 ** rng.uniform(-4, -1)
+            cb = Codebook(k, d, rng, domain="frequency")
+            cb.codes.data = (offset + spread * rng.normal(size=(k, d))).astype(np.float32)
+            q = (offset + spread * rng.normal(size=(40, d))).astype(np.float32)
+            np.testing.assert_array_equal(cb.nearest(q), nearest_bruteforce(q, cb.codes.data))
+
     def test_planted_duplicate_codes_tie_low(self):
         # identical code rows force exact ties; the lower index must win
         rng = np.random.default_rng(3)
