@@ -26,13 +26,12 @@ tokenizer.mlp_dim = 64
 tokenizer.codebook_size = 32
 tokenizer.code_dim = 8
 
-model.patch_len = 100
+# the backbone takes patch_len and codebook_size from the tokenizer
 model.features = 32
 model.blocks = 2
 model.kernel_len = 8
 model.kernel_base = 2
 model.window = 3
-model.codebook_size = 32
 
 stage1.steps = 100
 stage2.steps = 1200

@@ -2,8 +2,10 @@
 analytics, and benchmarks.
 
 Configuration is flat ``section.key = value`` text. A preset supplies the
-baseline, an optional ``--config`` file overlays it, and ``--seed`` overrides
-every stage seed at once. Unknown keys are rejected before any work starts.
+baseline, and every key a command reads; an optional ``--config`` file
+overlays it, and ``--seed`` overrides every stage seed at once. Unknown keys
+are rejected before any work starts. ``train-ssm`` takes the backbone's
+``patch_len`` and ``codebook_size`` from the stage-1 checkpoint.
 
 Every command reads and writes under one output tree::
 
@@ -97,7 +99,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 _GENERATOR_SCALARS = {f.name for f in dataclasses.fields(GeneratorSpec)} - {"classes"}
 _SECTION_FIELDS = {
     "tokenizer": {f.name for f in dataclasses.fields(TokenizerConfig)},
-    "model": {f.name for f in dataclasses.fields(EegssmConfig)},
+    "model": {f.name for f in dataclasses.fields(EegssmConfig)} - {"patch_len", "codebook_size"},
     "stage1": {f.name for f in dataclasses.fields(TrainConfig)},
     "stage2": {f.name for f in dataclasses.fields(TrainConfig)},
     "probe": {f.name for f in dataclasses.fields(ProbeConfig)} | {"seeds", "shuffled"},
@@ -135,9 +137,6 @@ class RunConfig:
     def section(self, name: str) -> dict[str, str]:
         prefix = name + "."
         return {k[len(prefix):]: v for k, v in self.values.items() if k.startswith(prefix)}
-
-    def get(self, key: str, default: str) -> str:
-        return self.values.get(key, default)
 
     def path(self, name: str, default_rel: str) -> Path:
         raw = self.values.get(f"paths.{name}")
@@ -207,18 +206,6 @@ def _generator_spec(run: RunConfig) -> GeneratorSpec:
         return signal.generator_spec(dict(sorted(run.section("data").items())))
     except ValueError as exc:
         raise ConfigError(f"invalid [data] configuration: {exc}") from None
-
-
-def _split_fractions(run: RunConfig) -> tuple[tuple[float, float, float], int]:
-    sec = run.section("split")
-    try:
-        fracs = (float(sec.get("train", "0.6")), float(sec.get("val", "0.2")), float(sec.get("test", "0.2")))
-        seed = int(sec.get("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [split] configuration: {exc}") from None
-    if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-6:
-        raise ConfigError(f"invalid [split] configuration: fractions must be non-negative and sum to 1, got {fracs}")
-    return fracs, seed
 
 
 # ---- artifact loading ------------------------------------------------------------
@@ -292,19 +279,24 @@ def cmd_gen_data(run: RunConfig, args: argparse.Namespace) -> int:
         run.values["data.records_per_class"] = str(args.records // n_classes)
 
     spec = _generator_spec(run)
-    fractions, split_seed = _split_fractions(run)
     seed = run.seed if run.seed is not None else 0
+    records = signal.synth_generate(spec, seed)
+    labels = [rec.label for rec in records]
+    v = run.values
+    try:  # split before the data directory exists: a bad split writes nothing
+        train, val, test = signal.split_stratified(
+            labels, (float(v["split.train"]), float(v["split.val"]), float(v["split.test"])), int(v["split.seed"])
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid [split] configuration: {exc}") from None
+
     data_dir = run.path("data", "data")
     data_dir.mkdir(parents=True, exist_ok=True)
-
-    records = signal.synth_generate(spec, seed)
     files = []
     for i, rec in enumerate(records):
         name = f"record_{i:04d}.bin"
         signal.save_record(rec, data_dir / name)
         files.append(name)
-    labels = [rec.label for rec in records]
-    train, val, test = signal.split_stratified(labels, fractions, split_seed)
     manifest = {
         "version": 1,
         "seed": seed,
@@ -343,16 +335,12 @@ def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_ssm(run: RunConfig, args: argparse.Namespace) -> int:
-    model_cfg = _build_dataclass(EegssmConfig, "model", run)
     train_cfg = _train_config(run, "stage2")
     tok_model = _load_model(run, "stage1")
-    if tok_model.config.codebook_size != model_cfg.codebook_size:
-        raise ConfigError(
-            f"model.codebook_size {model_cfg.codebook_size} does not match the "
-            f"tokenizer's {tok_model.config.codebook_size}"
-        )
-    if tok_model.config.patch_len != model_cfg.patch_len:
-        raise ConfigError("model.patch_len does not match the tokenizer's patch_len")
+    model_cfg = _build_dataclass(
+        EegssmConfig, "model", run,
+        patch_len=tok_model.config.patch_len, codebook_size=tok_model.config.codebook_size,
+    )
     records, info = _load_corpus(run)
     train_idx = info["splits"]["train"]
     grids = _grids([records[i] for i in train_idx], model_cfg.patch_len)
@@ -383,8 +371,8 @@ def _shuffled_copy(labels: np.ndarray, splits: dict[str, np.ndarray], seed: int)
 def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
     overrides = {"seed": run.seed} if run.seed is not None else {}
     probe_cfg = _build_dataclass(ProbeConfig, "probe", run, **overrides)
-    n_seeds = _convert(run.get("probe.seeds", "1"), 1, "probe.seeds")
-    shuffled = _convert(run.get("probe.shuffled", "false"), True, "probe.shuffled")
+    n_seeds = _convert(run.values["probe.seeds"], 1, "probe.seeds")
+    shuffled = _convert(run.values["probe.shuffled"], True, "probe.shuffled")
     if n_seeds < 1:
         raise ConfigError("probe.seeds must be positive")
 
@@ -503,7 +491,7 @@ def _read_history(path: Path) -> dict[str, np.ndarray]:
 
 
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
-    tau = _convert(run.get("analyze.tau", "1.0"), 1.0, "analyze.tau")
+    tau = _convert(run.values["analyze.tau"], 1.0, "analyze.tau")
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"analyze.tau must be in (0, 1], got {tau}")
     tok_model = _load_model(run, "stage1")
@@ -523,13 +511,11 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         w.writerow(["temporal", report.used_t, report.specific_t, f"{report.ratio_t:.6f}"])
         w.writerow(["frequency", report.used_f, report.specific_f, f"{report.ratio_f:.6f}"])
 
-    distinct_t = len({int(z) for grid, _ in samples for z in grid.z_t.ravel()})
-    distinct_f = len({int(z) for grid, _ in samples for z in grid.z_f.ravel()})
     with open(out_dir / "diversity.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["stream", "distinct"])
-        w.writerow(["temporal", distinct_t])
-        w.writerow(["frequency", distinct_f])
+        w.writerow(["temporal", report.used_t])
+        w.writerow(["frequency", report.used_f])
         w.writerow(["dual", report.distinct_pairs])
 
     stage1_hist = run.path("stage1", "stage1/final").parent / "history_stage1.csv"
@@ -561,12 +547,12 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bench(run: RunConfig, args: argparse.Namespace) -> int:
-    sec = run.section("bench")
-    sizes = _convert(sec.get("sizes", "64,128,256,512"), (1,), "bench.sizes")
-    features = _convert(sec.get("features", "1"), 1, "bench.features")
-    base = _convert(sec.get("base", "16"), 1, "bench.base")
-    repeats = _convert(sec.get("repeats", "3"), 1, "bench.repeats")
-    att_max = _convert(sec.get("attention_max_len", str(1 << 12)), 1, "bench.attention_max_len")
+    v = run.values
+    sizes = _convert(v["bench.sizes"], (1,), "bench.sizes")
+    features = _convert(v["bench.features"], 1, "bench.features")
+    base = _convert(v["bench.base"], 1, "bench.base")
+    repeats = _convert(v["bench.repeats"], 1, "bench.repeats")
+    att_max = _convert(v["bench.attention_max_len"], 1, "bench.attention_max_len")
     seed = run.seed if run.seed is not None else 0
     try:
         rows = bench_backbones(

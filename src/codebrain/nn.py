@@ -44,27 +44,22 @@ def load_params(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None
 
 
 class Linear:
-    """Affine map on the last axis; weights (in, out), optional bias."""
+    """Affine map on the last axis; weights (in, out) and a bias."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, w_std: float | None = None, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, w_std: float | None = None):
         std = (1.0 / np.sqrt(d_in)) if w_std is None else w_std
         self.w = Tensor(rng.normal(0.0, std, size=(d_in, d_out)).astype(np.float32), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         d_in, d_out = self.w.shape
         lead = x.shape[:-1]
         flat = x.reshape(-1, d_in) if x.ndim != 2 else x
-        out = flat @ self.w
-        if self.b is not None:
-            out = out + self.b
+        out = flat @ self.w + self.b
         return out.reshape(*lead, d_out) if x.ndim != 2 else out
 
     def named_params(self) -> dict[str, Tensor]:
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
+        return {"w": self.w, "b": self.b}
 
 
 class LayerNorm:
@@ -86,13 +81,14 @@ class BatchNorm1d:
     estimates; eval mode uses the stored running estimates.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    MOMENTUM = 0.1
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if x.ndim != 3:
@@ -101,14 +97,14 @@ class BatchNorm1d:
             mu = x.mean(axis=(0, 2), keepdims=True)
             centered = x - mu
             var = (centered * centered).mean(axis=(0, 2), keepdims=True)
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = ((1 - m) * self.running_mean + m * mu.data.reshape(-1)).astype(np.float32)
             self.running_var = ((1 - m) * self.running_var + m * var.data.reshape(-1)).astype(np.float32)
-            xn = centered / (var + self.eps) ** 0.5
+            xn = centered / (var + self.EPS) ** 0.5
         else:
             mu = Tensor(self.running_mean.reshape(1, -1, 1))
             var = Tensor(self.running_var.reshape(1, -1, 1))
-            xn = (x - mu) / (var + self.eps) ** 0.5
+            xn = (x - mu) / (var + self.EPS) ** 0.5
         g = self.gamma.reshape(1, -1, 1)
         b = self.beta.reshape(1, -1, 1)
         return xn * g + b

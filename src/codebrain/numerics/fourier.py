@@ -32,10 +32,7 @@ def next_pow2(n: int) -> int:
     """Smallest power of two >= n (n must be positive)."""
     if n < 1:
         raise ValueError(f"next_pow2 needs a positive length, got {n}")
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+    return 1 << (n - 1).bit_length()
 
 
 @lru_cache(maxsize=32)

@@ -50,14 +50,13 @@ _DESK: dict[str, str] = {
     # commitment keeps the encoder anchored to the codes at the desk lr,
     # otherwise the code-alignment loss grows while everything else falls
     "tokenizer.commitment_beta": "0.25",
-    # stage-2 backbone; kernel length covers the 4ch x 8-patch sequence
-    "model.patch_len": "200",
+    # stage-2 backbone; kernel length covers the 4ch x 8-patch sequence.
+    # patch_len and codebook_size come from the stage-1 checkpoint
     "model.features": "64",
     "model.blocks": "2",
     "model.kernel_len": "32",
     "model.kernel_base": "4",
     "model.window": "7",
-    "model.codebook_size": "256",
     "model.p_drop": "0.0",
     "stage1.steps": "200",
     "stage1.batch_size": "4",
@@ -80,12 +79,14 @@ _DESK: dict[str, str] = {
     "probe.batch_size": "16",
     "probe.eval_every": "25",
     "probe.seeds": "5",
+    "probe.shuffled": "false",
     "probe.seed": "0",
     "analyze.tau": "1.0",
     "bench.sizes": "64,128,256,512,1024",
     "bench.features": "1",
     "bench.base": "16",
     "bench.repeats": "3",
+    "bench.attention_max_len": "4096",
 }
 
 
@@ -108,7 +109,6 @@ _PAPER: dict[str, str] = {
     "model.kernel_len": "1024",
     "model.kernel_base": "16",
     "model.window": "31",
-    "model.codebook_size": "4096",
     "model.p_drop": "0.1",
     "stage1.peak_lr": "1e-4",
     "stage1.min_lr": "1e-6",

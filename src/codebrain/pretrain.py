@@ -28,7 +28,6 @@ __all__ = [
     "AdamW",
     "CheckpointError",
     "DivergenceError",
-    "MaskPattern",
     "TrainConfig",
     "clip_grad_norm",
     "cosine_lr",
@@ -53,26 +52,11 @@ class CheckpointError(ValueError):
 # ---- masking -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskPattern:
-    """Per-(channel, window) Bernoulli mask, regeneratable from its seed."""
-
-    bits: np.ndarray
-    ratio: float
-    seed: int
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.bits.reshape(-1)
-
-
-def sample_mask(shape: tuple[int, ...], r: float, seed: int) -> MaskPattern:
-    """Draw i.i.d. Bernoulli(r) mask bits over `shape`."""
+def sample_mask(shape: tuple[int, ...], r: float, seed: int) -> np.ndarray:
+    """I.i.d. Bernoulli(r) mask bits over `shape`, regeneratable from `seed`."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"mask ratio must be in [0, 1], got {r}")
-    rng = np.random.default_rng(seed)
-    bits = rng.random(shape) < r
-    return MaskPattern(bits=bits, ratio=float(r), seed=int(seed))
+    return np.random.default_rng(seed).random(shape) < r
 
 
 # ---- objective ----------------------------------------------------------------
@@ -411,8 +395,8 @@ def _train(
     opt = AdamW(params, betas=config.betas, eps=config.eps, weight_decay=config.weight_decay)
     full_config = {"train": _config_dict(config), "model": asdict(model.config)}
 
-    def save(step: int, name: str) -> None:
-        save_checkpoint(os.path.join(out_dir, name), {**model.state_dict(), **opt.state_dict()}, full_config, step)
+    def save(step: int, name: str, state: dict[str, np.ndarray]) -> None:
+        save_checkpoint(os.path.join(out_dir, name), {**state, **opt.state_dict()}, full_config, step)
 
     start_step = 0
     if resume_from is not None:
@@ -431,6 +415,9 @@ def _train(
         idx = rng.choice(len(data), size=min(config.batch_size, len(data)), replace=len(data) < config.batch_size)
         lr = cosine_lr(step, config.steps, config.peak_lr, config.min_lr)
 
+        # the forward pass moves buffers (BatchNorm statistics, code usage);
+        # diverged/ must hold them as they were before this step
+        buffers = {k: v for k, v in model.state_dict().items() if k not in params}
         opt.zero_grad()
         loss, columns = step_fn(step, [data[i] for i in idx], rng)
         backward(loss)
@@ -438,18 +425,18 @@ def _train(
         norm = clip_grad_norm(params, config.clip_norm) if np.isfinite(loss_value) else None
         if norm is None or not np.isfinite(norm):  # nothing was scaled; the update is not applied
             if out_dir is not None:
-                save(step, "diverged")
+                save(step, "diverged", {**model.state_dict(), **buffers})
             raise _divergence(step, loss_value, norm, params, last_finite)
         last_finite = (step, loss_value)
         opt.step(lr)
 
         history.append({"step": step, "lr": f"{lr:.8e}", **columns})
         if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
-            save(step + 1, f"step_{step + 1:06d}")
+            save(step + 1, f"step_{step + 1:06d}", model.state_dict())
             write_history_csv(earlier + history, history_path)
 
     if out_dir is not None:
-        save(config.steps, "final")
+        save(config.steps, "final", model.state_dict())
         write_history_csv(earlier + history, history_path)
     return history
 
@@ -524,10 +511,10 @@ def train_eegssm(
             c, n = grid.patches.shape[:2]
             patches.append(grid.patches.reshape(c * n, t))
             for attempt in range(64):
-                pat = sample_mask((c, n), config.mask_ratio, _derive_seed(config.seed, step, j * 64 + attempt))
-                if pat.bits.any():
+                bits = sample_mask((c, n), config.mask_ratio, _derive_seed(config.seed, step, j * 64 + attempt))
+                if bits.any():
                     break
-            masks.append(pat.flat)
+            masks.append(bits.reshape(-1))
         x = np.stack(patches).astype(np.float32)
         z_t = np.stack([tokens.z_t.reshape(-1) for _, tokens in pairs])
         z_f = np.stack([tokens.z_f.reshape(-1) for _, tokens in pairs])

@@ -82,12 +82,9 @@ def weighted_f1(cm: np.ndarray) -> float:
     cm = np.asarray(cm, dtype=np.float64)
     support = cm.sum(axis=1)
     predicted = cm.sum(axis=0)
-    tp = np.diag(cm)
-    f1 = np.zeros(cm.shape[0])
-    for k in range(cm.shape[0]):
-        denom = support[k] + predicted[k]
-        if denom > 0:
-            f1[k] = 2.0 * tp[k] / denom  # == 2PR/(P+R) without 0/0 cases
+    denom = support + predicted
+    # == 2PR/(P+R) without 0/0 cases
+    f1 = np.divide(2.0 * np.diag(cm), denom, out=np.zeros(cm.shape[0]), where=denom > 0)
     total = support.sum()
     return float((f1 * support).sum() / total)
 
@@ -137,12 +134,8 @@ def auc_pr(scores, labels) -> float:
     n_at = (idx + 1).astype(np.float64)
     precision = tp / n_at
     recall = tp / n_pos
-    prev_r = 0.0
-    area = 0.0
-    for p, r in zip(precision, recall):
-        area += (r - prev_r) * p
-        prev_r = r
-    return float(area)
+    # Python's sum adds left to right; np.sum's pairwise order moves the last bit
+    return float(sum(np.diff(recall, prepend=0.0) * precision))
 
 
 @dataclass

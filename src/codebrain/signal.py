@@ -24,7 +24,6 @@ __all__ = [
     "Band",
     "ClassSpec",
     "EegRecord",
-    "FreqFeatures",
     "GeneratorSpec",
     "PatchGrid",
     "RecordFormatError",
@@ -103,10 +102,6 @@ class EegRecord:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def seconds(self) -> float:
-        return self.samples.shape[1] / self.sample_rate
 
 
 def default_channel_names(n: int) -> tuple[str, ...]:
@@ -198,22 +193,6 @@ class PatchGrid:
         if self.patches.ndim != 3:
             raise ValueError(f"patches must be (C, N, T), got {self.patches.shape}")
 
-    @property
-    def n_channels(self) -> int:
-        return self.patches.shape[0]
-
-    @property
-    def n_windows(self) -> int:
-        return self.patches.shape[1]
-
-    @property
-    def patch_len(self) -> int:
-        return self.patches.shape[2]
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0] * self.patches.shape[1]
-
 
 def patch(record: EegRecord, patch_seconds: float = 1.0) -> PatchGrid:
     """Slice every channel into whole `patch_seconds` windows."""
@@ -235,24 +214,9 @@ def patch(record: EegRecord, patch_seconds: float = 1.0) -> PatchGrid:
     )
 
 
-@dataclass
-class FreqFeatures:
-    """Per-patch amplitude/phase spectra, z-scored over bins with stored stats.
-
-    `amplitude` and `phase` have the same shape as the input patches with the
-    last axis being frequency bins. Raw spectra are recovered as
-    `amplitude * amp_std + amp_mean` (same pattern for phase).
-    """
-
-    amplitude: np.ndarray
-    phase: np.ndarray
-    amp_mean: np.ndarray
-    amp_std: np.ndarray
-    phase_mean: np.ndarray
-    phase_std: np.ndarray
-
-
 def _polar_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw two-sided amplitude and phase spectra along the last axis; the
+    phase lies in (-pi, pi]."""
     spec = fourier.dft_many(x)
     amp = np.abs(spec)
     ph = np.arctan2(spec.imag, spec.real)
@@ -261,26 +225,16 @@ def _polar_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amp, ph
 
 
-def _zscore(v: np.ndarray, eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = v.mean(axis=-1, keepdims=True)
-    std = v.std(axis=-1, keepdims=True)
-    return (v - mean) / (std + eps), mean, std
+def _zscore(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    z = (v - v.mean(axis=-1, keepdims=True)) / (v.std(axis=-1, keepdims=True) + eps)
+    return z.astype(np.float32)
 
 
-def freq_features(x: np.ndarray) -> FreqFeatures:
-    """Spectral features of one patch (1-D) or a batch (..., T) of patches."""
-    x = np.asarray(x, dtype=np.float64)
-    amp, ph = _polar_features(x)
-    amp_z, amp_mean, amp_std = _zscore(amp)
-    ph_z, ph_mean, ph_std = _zscore(ph)
-    return FreqFeatures(
-        amplitude=amp_z.astype(np.float32),
-        phase=ph_z.astype(np.float32),
-        amp_mean=amp_mean.astype(np.float32),
-        amp_std=amp_std.astype(np.float32),
-        phase_mean=ph_mean.astype(np.float32),
-        phase_std=ph_std.astype(np.float32),
-    )
+def freq_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(amplitude, phase) spectra of one patch (1-D) or a batch (..., T) of
+    patches, each z-scored over its bins, float32, the shape of `x`."""
+    amp, ph = _polar_features(np.asarray(x, dtype=np.float64))
+    return _zscore(amp), _zscore(ph)
 
 
 # ---- synthetic generator ---------------------------------------------------

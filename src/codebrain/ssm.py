@@ -136,17 +136,14 @@ def build_kernel(spec: SgconvSpec) -> Tensor:
 
 
 def sgconv_forward(u, spec: SgconvSpec) -> Tensor:
-    """Per-feature causal convolution of (B, S, F) or (S, F) with the kernel.
+    """Per-feature causal convolution of (B, S, F) with the kernel.
 
     Sequences shorter than L convolve against the kernel's first S taps
     (later taps can never touch a causal output within the sequence).
     """
     x = u if isinstance(u, Tensor) else Tensor(u)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
     if x.ndim != 3:
-        raise ValueError(f"expected (B, S, F) or (S, F), got {x.shape}")
+        raise ValueError(f"expected (B, S, F), got {x.shape}")
     b, s, f = x.shape
     if f != spec.features:
         raise ValueError(f"feature width {f} != kernel channels {spec.features}")
@@ -157,8 +154,7 @@ def sgconv_forward(u, spec: SgconvSpec) -> Tensor:
         kernel = kernel[:, :s]
     xt = x.transpose(0, 2, 1)  # (B, F, S)
     yt = fft_convolve(xt, kernel)  # kernel broadcasts over the batch axis
-    y = yt.transpose(0, 2, 1)
-    return y.reshape(s, f) if squeeze else y
+    return yt.transpose(0, 2, 1)
 
 
 @dataclass
@@ -194,7 +190,8 @@ def swa_forward(
     rng: np.random.Generator | None = None,
     p_drop: float = 0.0,
 ) -> Tensor:
-    """Attention where position i attends to |j - i| <= floor(window/2).
+    """Attention over (B, S, F) where position i attends to
+    |j - i| <= floor(window/2).
 
     Keys and values are read through one band view (B, S, W, F) of the
     zero-padded sequence, so scores and the weighted sum are two batched
@@ -205,9 +202,6 @@ def swa_forward(
     if window < 1:
         raise ValueError("window must be >= 1")
     x = x if isinstance(x, Tensor) else Tensor(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
     b, s, f = x.shape
     half = min(window // 2, s - 1)  # wider offsets never land in the sequence
     w = 2 * half + 1
@@ -221,8 +215,7 @@ def swa_forward(
     if train and p_drop > 0:
         p = dropout(p, p_drop, rng, train)
     out = (p.reshape(b, s, 1, w) @ values).reshape(b, s, f)
-    y = params.o(out)
-    return y.reshape(s, f) if squeeze else y
+    return params.o(out)
 
 
 @dataclass

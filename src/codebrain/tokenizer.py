@@ -16,7 +16,7 @@ the codebooks themselves learn only from stop-gradient pull terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,9 +97,9 @@ class TokenizerConfig:
 
 
 class Codebook:
-    """K learnable code vectors of width D, plus lookup usage counters."""
+    """K learnable code vectors of width D, plus how often training picked each."""
 
-    def __init__(self, size: int, dim: int, rng: np.random.Generator, domain: str):
+    def __init__(self, size: int, dim: int, rng: np.random.Generator):
         if size < 1 or dim < 1:
             raise ValueError("codebook needs at least one code of width >= 1")
         bound = 1.0 / size
@@ -108,7 +108,6 @@ class Codebook:
             requires_grad=True,
         )
         self.usage = np.zeros(size, dtype=np.int64)
-        self.domain = domain
 
     @property
     def size(self) -> int:
@@ -120,7 +119,7 @@ class Codebook:
 
     def nearest(self, queries: np.ndarray) -> np.ndarray:
         """Index of the closest code per query row (squared Euclidean,
-        ties resolved toward the lowest index), counted in `usage`.
+        ties resolved toward the lowest index).
 
         Codes are ranked by ‖c‖² − 2 q·cᵀ in one float64 matrix product.
         Rows whose runner-up lies within the rounding bound of that
@@ -154,7 +153,6 @@ class Codebook:
             exact = np.full((sel.size, self.size), np.inf)
             exact[r, k] = ((q[sel[r]] - codes[k]) ** 2).sum(axis=-1)
             out[sel] = exact.argmin(axis=1)
-        self.usage += np.bincount(out, minlength=self.size)
         return out
 
     def reset_usage(self) -> None:
@@ -203,8 +201,8 @@ class TokenizerModel:
         )
         self.encoder = nn.TransformerEncoder(c.hidden, c.enc_layers, c.heads, c.mlp_dim, rng)
         self.down = nn.Linear(c.hidden, c.code_dim, rng)
-        self.codebook_t = Codebook(c.codebook_size, c.code_dim, rng, domain="temporal")
-        self.codebook_f = Codebook(c.codebook_size, c.code_dim, rng, domain="frequency")
+        self.codebook_t = Codebook(c.codebook_size, c.code_dim, rng)
+        self.codebook_f = Codebook(c.codebook_size, c.code_dim, rng)
         self.up_t = nn.Linear(c.code_dim, c.hidden, rng)
         self.up_f = nn.Linear(c.code_dim, c.hidden, rng)
         self.f_decoder = nn.TransformerEncoder(c.hidden, c.dec_layers, c.heads, c.mlp_dim, rng)
@@ -268,7 +266,7 @@ class TokenizerModel:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {k: v.data for k, v in self.named_params().items()}
-        # copies: Codebook.nearest counts usage in place
+        # copies: the training loss counts code usage in place
         out.update({k: v.copy() for k, v in self.named_buffers().items()})
         return out
 
@@ -302,10 +300,6 @@ class Stage1Batch:
     positions: np.ndarray        # (B, S) int
     windows_per_channel: int
 
-    @property
-    def batch_size(self) -> int:
-        return self.patches.shape[0]
-
 
 def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
     if not grids:
@@ -318,9 +312,9 @@ def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
     patches = np.stack([g.patches.reshape(c * n, t) for g in grids])
     amps, phases = [], []
     for g in grids:
-        f = freq_features(g.patches)
-        amps.append(f.amplitude.reshape(c * n, t))
-        phases.append(f.phase.reshape(c * n, t))
+        amp, phase = freq_features(g.patches)
+        amps.append(amp.reshape(c * n, t))
+        phases.append(phase.reshape(c * n, t))
     amp = np.stack(amps)
     phase = np.stack(phases)
     positions = np.broadcast_to(np.arange(c * n), (len(grids), c * n)).copy()
@@ -381,26 +375,28 @@ def _encode_half(model: TokenizerModel, batch: Stage1Batch, second: bool, train:
     return enc.mean(axis=1)
 
 
-def _quantize_st(model: TokenizerModel, e_d: Tensor, codebook: Codebook):
-    """Nearest codes with a straight-through path back to the embeddings."""
+def _quantize_st(e_d: Tensor, codebook: Codebook) -> tuple[Tensor, Tensor]:
+    """Nearest codes, counted in `codebook.usage`, and a straight-through
+    path back to the embeddings."""
     b, s, d = e_d.shape
-    idx = codebook.nearest(e_d.data.reshape(-1, d)).reshape(b, s)
-    v = take_rows(codebook.codes, idx)
+    idx = codebook.nearest(e_d.data.reshape(-1, d))
+    codebook.usage += np.bincount(idx, minlength=codebook.size)
+    v = take_rows(codebook.codes, idx.reshape(b, s))
     st = e_d + (v - e_d).detach()
-    return idx, v, st
+    return v, st
 
 
 def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False) -> dict[str, Tensor]:
     """All tokenizer loss components from one shared encoder pass.
 
     Returns tensors keyed: freq_recon, temporal_recon, contrastive,
-    codebook_sg, temporal (= contrastive + temporal_recon), and total.
+    codebook_sg, and total. Each codebook counts its B*S lookups in `usage`.
     """
     e = model.encode(batch.patches, batch.freq_in, batch.positions, train=train)
     e_d = model.down(e)
 
-    idx_f, v_f, st_f = _quantize_st(model, e_d, model.codebook_f)
-    idx_t, v_t, st_t = _quantize_st(model, e_d, model.codebook_t)
+    v_f, st_f = _quantize_st(e_d, model.codebook_f)
+    v_t, st_t = _quantize_st(e_d, model.codebook_t)
 
     df = model.f_decoder(model.up_f(st_f))
     freq_recon = _sse_mean(model.f_head_amp(df), batch.amp_target) + _sse_mean(
@@ -414,12 +410,10 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
     h2 = _encode_half(model, batch, second=True, train=train)
     cl = contrastive_loss(h1, h2, model.config.temperature)
 
-    e_sg = e_d.detach()
-    sg_t = ((e_sg - v_t) * (e_sg - v_t)).sum(axis=-1).mean()
-    sg_f = ((e_sg - v_f) * (e_sg - v_f)).sum(axis=-1).mean()
+    sg_t = _sse_mean(v_t, e_d.data)
+    sg_f = _sse_mean(v_f, e_d.data)
 
-    temporal = cl + temporal_recon
-    total = freq_recon + sg_t + sg_f + temporal
+    total = freq_recon + sg_t + sg_f + (cl + temporal_recon)
     beta = model.config.commitment_beta
     if beta > 0:
         vt_sg, vf_sg = v_t.detach(), v_f.detach()
@@ -433,12 +427,7 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
         "temporal_recon": temporal_recon,
         "contrastive": cl,
         "codebook_sg": sg_t + sg_f,
-        "sg_t": sg_t,
-        "sg_f": sg_f,
-        "temporal": temporal,
         "total": total,
-        "idx_t": idx_t,
-        "idx_f": idx_f,
     }
 
 
@@ -463,11 +452,7 @@ def tokenize(model: TokenizerModel, grid: PatchGrid) -> TokenGrid:
 
 @dataclass
 class UsageReport:
-    domain: str
     counts: np.ndarray
-    total_queries: int
-    used: int
-    unused: int
 
     def to_csv(self, path) -> None:
         import csv
@@ -480,14 +465,7 @@ class UsageReport:
 
 
 def code_usage_report(codebook: Codebook) -> UsageReport:
-    counts = codebook.usage.copy()
-    return UsageReport(
-        domain=codebook.domain,
-        counts=counts,
-        total_queries=int(counts.sum()),
-        used=int((counts > 0).sum()),
-        unused=int((counts == 0).sum()),
-    )
+    return UsageReport(counts=codebook.usage.copy())
 
 
 @dataclass
@@ -499,26 +477,24 @@ class DominanceReport:
     are taken over codes that occur at least once.
     """
 
-    tau: float
     used_t: int
     used_f: int
     specific_t: int
     specific_f: int
     ratio_t: float
     ratio_f: float
-    dominance_t: dict[int, float] = field(repr=False, default_factory=dict)
-    dominance_f: dict[int, float] = field(repr=False, default_factory=dict)
-    distinct_pairs: int = 0
+    distinct_pairs: int
 
 
-def _dominance_stream(tokens: list[np.ndarray], labels: list[int], n_codes: int, n_classes: int):
+def _dominance_stream(tokens: list[np.ndarray], labels: list[int], n_codes: int, n_classes: int, tau: float):
+    """(codes used, codes whose largest class share reaches tau)."""
     counts = np.zeros((n_codes, n_classes), dtype=np.int64)
     for z, y in zip(tokens, labels):
         np.add.at(counts[:, y], z.reshape(-1), 1)
     totals = counts.sum(axis=1)
-    used = np.flatnonzero(totals)
-    dominance = {int(c): float(counts[c].max() / totals[c]) for c in used}
-    return used, dominance
+    used = totals > 0
+    dominance = counts[used].max(axis=1) / totals[used]
+    return int(used.sum()), int((dominance >= tau).sum())
 
 
 def class_specific_ratio(samples: list[tuple[TokenGrid, int]], n_codes: int, tau: float = 1.0) -> DominanceReport:
@@ -538,24 +514,19 @@ def class_specific_ratio(samples: list[tuple[TokenGrid, int]], n_codes: int, tau
     ys = [remap[y] for y in labels]
     zt = [g.z_t for g, _ in samples]
     zf = [g.z_f for g, _ in samples]
-    used_t, dom_t = _dominance_stream(zt, ys, n_codes, len(classes))
-    used_f, dom_f = _dominance_stream(zf, ys, n_codes, len(classes))
-    if len(used_t) == 0 or len(used_f) == 0:
+    used_t, spec_t = _dominance_stream(zt, ys, n_codes, len(classes), tau)
+    used_f, spec_f = _dominance_stream(zf, ys, n_codes, len(classes), tau)
+    if used_t == 0 or used_f == 0:
         raise ValueError("no codes were used; tokenize some records first")
-    spec_t = sum(1 for v in dom_t.values() if v >= tau)
-    spec_f = sum(1 for v in dom_f.values() if v >= tau)
     pairs = set()
     for g, _ in samples:
         pairs.update(zip(g.z_t.reshape(-1).tolist(), g.z_f.reshape(-1).tolist()))
     return DominanceReport(
-        tau=tau,
-        used_t=int(len(used_t)),
-        used_f=int(len(used_f)),
+        used_t=used_t,
+        used_f=used_f,
         specific_t=spec_t,
         specific_f=spec_f,
-        ratio_t=spec_t / len(used_t),
-        ratio_f=spec_f / len(used_f),
-        dominance_t=dom_t,
-        dominance_f=dom_f,
+        ratio_t=spec_t / used_t,
+        ratio_f=spec_f / used_f,
         distinct_pairs=len(pairs),
     )

@@ -273,7 +273,7 @@ def test_03_kernel_structure():
 def test_04_quantizer_oracle():
     rng = np.random.default_rng(404)
     for k in (16, 256, 4096):
-        codebook = Codebook(k, 8, rng, domain="time")
+        codebook = Codebook(k, 8, rng)
         codes = codebook.codes.data.astype(np.float64)
         # plant exact duplicates so ties exercise the lowest-index rule
         codes[k // 2] = codes[k // 4]

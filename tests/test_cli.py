@@ -35,13 +35,11 @@ tokenizer.heads = 2
 tokenizer.mlp_dim = 32
 tokenizer.codebook_size = 16
 tokenizer.code_dim = 8
-model.patch_len = 32
 model.features = 16
 model.blocks = 1
 model.kernel_len = 8
 model.kernel_base = 2
 model.window = 3
-model.codebook_size = 16
 model.p_drop = 0.0
 stage1.steps = 6
 stage1.batch_size = 2
@@ -166,6 +164,12 @@ class TestConfigValidation:
         assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model.patch_len = 200", "model.codebook_size = 256"])
+    def test_backbone_keys_taken_from_the_tokenizer_rejected(self, tmp_path, capsys, key):
+        cfg = _write_cfg(tmp_path, key)
+        assert run_cli("train-ssm", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cluster.gpus = 8")
         assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
@@ -279,7 +283,10 @@ class TestTrainingArtifacts:
 
     def test_stage2_artifacts(self, pipeline):
         out, _ = pipeline
-        assert (out / "stage2" / "final" / "manifest.json").is_file()
+        manifest = json.loads((out / "stage2" / "final" / "manifest.json").read_text())
+        # the tokenizer's geometry, not the preset's 200 and 256
+        assert manifest["config"]["model"]["patch_len"] == 32
+        assert manifest["config"]["model"]["codebook_size"] == 16
         header = (out / "stage2" / "history_stage2.csv").read_text().splitlines()[0]
         assert header == "step,lr,loss,acc_t,acc_f"
 

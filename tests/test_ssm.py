@@ -161,15 +161,6 @@ class TestSgconvForward:
         ref = convolve_direct(u.transpose(0, 2, 1), k).transpose(0, 2, 1)
         np.testing.assert_allclose(y, ref, atol=1e-5)
 
-    def test_2d_input_round_trips(self):
-        rng = np.random.default_rng(22)
-        spec = make_spec(4, 16, 4, rng)
-        u = rng.normal(size=(16, 4))
-        y2 = sgconv_forward(u, spec).data
-        y3 = sgconv_forward(u[None], spec).data[0]
-        assert y2.shape == (16, 4)
-        np.testing.assert_allclose(y2, y3, atol=0)
-
     def test_causality_future_perturbation(self):
         # flipping u[t+1:] must leave y[:t+1] unchanged at working precision:
         # the spectral path computes in float64, so its rounding noise
@@ -223,7 +214,7 @@ class TestSwaForward:
         rng = np.random.default_rng(30)
         params = SwaParams.create(6, rng)
         x = rng.normal(size=(12, 6))
-        y = swa_forward(x, params, window).data
+        y = swa_forward(x[None], params, window).data[0]
         ref = dense_attention_oracle(x, params, window)
         np.testing.assert_allclose(y, ref, atol=1e-5)
 
@@ -231,7 +222,7 @@ class TestSwaForward:
         rng = np.random.default_rng(31)
         params = SwaParams.create(4, rng)
         x = rng.normal(size=(9, 4)).astype(np.float32)
-        y = swa_forward(x, params, 1).data
+        y = swa_forward(x[None], params, 1).data[0]
         ref = params.o(params.v(Tensor(x))).data
         np.testing.assert_allclose(y, ref, atol=1e-6)
 
@@ -239,7 +230,7 @@ class TestSwaForward:
         rng = np.random.default_rng(32)
         params = SwaParams.create(5, rng)
         x = rng.normal(size=(7, 5))
-        y = swa_forward(x, params, 2 * 7).data
+        y = swa_forward(x[None], params, 2 * 7).data[0]
         ref = dense_attention_oracle(x, params, 10**9)
         np.testing.assert_allclose(y, ref, atol=1e-5)
 
@@ -249,7 +240,7 @@ class TestSwaForward:
         x = rng.normal(size=(4, 10, 3)).astype(np.float32)
         y = swa_forward(x, params, 5).data
         for b in range(4):
-            np.testing.assert_allclose(y[b], swa_forward(x[b], params, 5).data, atol=1e-6)
+            np.testing.assert_allclose(y[b], swa_forward(x[b][None], params, 5).data[0], atol=1e-6)
 
     def test_locality(self):
         # perturbing a token outside the window leaves an output unchanged
@@ -258,8 +249,8 @@ class TestSwaForward:
         x = rng.normal(size=(16, 4))
         x2 = x.copy()
         x2[10] += 3.0  # position 10 is outside window 5 centered at 0..7
-        y1 = swa_forward(x, params, 5).data
-        y2 = swa_forward(x2, params, 5).data
+        y1 = swa_forward(x[None], params, 5).data[0]
+        y2 = swa_forward(x2[None], params, 5).data[0]
         np.testing.assert_allclose(y1[:8], y2[:8], atol=1e-7)
         assert np.abs(y1[10] - y2[10]).max() > 1e-4
 
@@ -267,7 +258,7 @@ class TestSwaForward:
         rng = np.random.default_rng(35)
         params = SwaParams.create(2, rng)
         with pytest.raises(ValueError):
-            swa_forward(np.zeros((4, 2)), params, 0)
+            swa_forward(np.zeros((1, 4, 2)), params, 0)
 
     def test_tape_size_independent_of_window(self):
         # the window is one band op, not a graph node per offset
@@ -288,8 +279,8 @@ class TestSwaForward:
     def test_gradient(self):
         rng = np.random.default_rng(36)
         params = SwaParams.create(3, rng)
-        x0 = rng.normal(size=(6, 3))
-        probe = rng.normal(size=(6, 3))
+        x0 = rng.normal(size=(1, 6, 3))
+        probe = rng.normal(size=(1, 6, 3))
 
         def fn(xt):
             return (swa_forward(xt, params, 3) * Tensor(probe)).sum()

@@ -66,20 +66,20 @@ def nearest_bruteforce(queries, codes):
 class TestQuantize:
     def test_obvious_nearest(self):
         rng = np.random.default_rng(0)
-        cb = Codebook(2, 2, rng, domain="temporal")
+        cb = Codebook(2, 2, rng)
         cb.codes.data = np.array([[0, 0], [1, 1]], dtype=np.float32)
         assert cb.nearest(np.array([0.9, 1.2], dtype=np.float32)).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(1)
-        cb = Codebook(2, 2, rng, domain="temporal")
+        cb = Codebook(2, 2, rng)
         cb.codes.data = np.array([[0, 0], [1, 1]], dtype=np.float32)
         assert cb.nearest(np.array([0.5, 0.5], dtype=np.float32)).tolist() == [0]
 
     @pytest.mark.parametrize("k", [16, 256])
     def test_bruteforce_oracle(self, k):
         rng = np.random.default_rng(2)
-        cb = Codebook(k, 8, rng, domain="frequency")
+        cb = Codebook(k, 8, rng)
         cb.codes.data = rng.normal(size=(k, 8)).astype(np.float32)
         q = rng.normal(size=(1000, 8)).astype(np.float32)
         np.testing.assert_array_equal(cb.nearest(q), nearest_bruteforce(q, cb.codes.data))
@@ -94,7 +94,7 @@ class TestQuantize:
             offset = rng.normal(size=d)
             offset *= 10 ** rng.uniform(1, 4) / np.linalg.norm(offset)
             spread = 10 ** rng.uniform(-4, -1)
-            cb = Codebook(k, d, rng, domain="frequency")
+            cb = Codebook(k, d, rng)
             cb.codes.data = (offset + spread * rng.normal(size=(k, d))).astype(np.float32)
             q = (offset + spread * rng.normal(size=(40, d))).astype(np.float32)
             np.testing.assert_array_equal(cb.nearest(q), nearest_bruteforce(q, cb.codes.data))
@@ -102,7 +102,7 @@ class TestQuantize:
     def test_planted_duplicate_codes_tie_low(self):
         # identical code rows force exact ties; the lower index must win
         rng = np.random.default_rng(3)
-        cb = Codebook(16, 4, rng, domain="temporal")
+        cb = Codebook(16, 4, rng)
         codes = rng.normal(size=(16, 4)).astype(np.float32)
         codes[11] = codes[3]
         codes[9] = codes[5]
@@ -111,18 +111,26 @@ class TestQuantize:
         np.testing.assert_array_equal(cb.nearest(q), [3, 3, 5, 5])
 
     def test_usage_counts_sum_to_calls(self):
+        # each loss evaluation counts its B*S lookups in both codebooks
+        cfg = tiny_config()
         rng = np.random.default_rng(4)
-        cb = Codebook(8, 4, rng, domain="temporal")
-        cb.nearest(rng.normal(size=(30, 4)).astype(np.float32))
-        cb.nearest(rng.normal(size=(4,)).astype(np.float32))
-        assert cb.usage.sum() == 31
+        model = TokenizerModel(cfg, rng)
+        batch = tiny_batch(rng, b=2, n=4)
+        with no_grad():
+            e_d = model.down(model.encode(batch.patches, batch.freq_in, batch.positions))
+        flat = e_d.data.reshape(-1, cfg.code_dim)
+        stage1_losses(model, batch)
+        for cb in (model.codebook_t, model.codebook_f):
+            np.testing.assert_array_equal(cb.usage, np.bincount(cb.nearest(flat), minlength=cb.size))
+        stage1_losses(model, batch)
+        assert model.codebook_t.usage.sum() == model.codebook_f.usage.sum() == 2 * 8
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
-            Codebook(0, 4, np.random.default_rng(5), domain="temporal")
+            Codebook(0, 4, np.random.default_rng(5))
 
     def test_query_width_mismatch(self):
-        cb = Codebook(4, 4, np.random.default_rng(6), domain="temporal")
+        cb = Codebook(4, 4, np.random.default_rng(6))
         with pytest.raises(ValueError):
             cb.nearest(np.zeros(3, dtype=np.float32))
 
@@ -264,7 +272,7 @@ class TestLosses:
         batch.patches[:] = 0  # input and reconstruction target both zero
         losses = stage1_losses(model, batch)
         assert losses["temporal_recon"].item() == 0.0
-        assert losses["temporal"].item() == losses["contrastive"].item()
+        assert (losses["contrastive"] + losses["temporal_recon"]).item() == losses["contrastive"].item()
 
     def test_temporal_recon_matches_direct_evaluation(self):
         cfg = tiny_config()
@@ -275,7 +283,7 @@ class TestLosses:
         with no_grad():
             e = model.encode(batch.patches, batch.freq_in, batch.positions, train=False)
             e_d = model.down(e)
-            _, _, st = _quantize_st(model, e_d, model.codebook_t)
+            _, st = _quantize_st(e_d, model.codebook_t)
             y = model.t_head(model.t_decoder(model.up_t(st)))
         direct = ((y.data.astype(np.float64) - batch.patches) ** 2).sum(axis=-1).mean()
         np.testing.assert_allclose(losses["temporal_recon"].item(), direct, rtol=1e-5)
@@ -288,8 +296,7 @@ class TestLosses:
         losses = stage1_losses(model, batch)
         parts = (
             losses["freq_recon"].item()
-            + losses["sg_t"].item()
-            + losses["sg_f"].item()
+            + losses["codebook_sg"].item()
             + losses["contrastive"].item()
             + losses["temporal_recon"].item()
         )
@@ -306,8 +313,7 @@ class TestLosses:
         model.codebook_t.codes.data = flat.copy()
         model.codebook_f.codes.data = flat.copy()
         losses = stage1_losses(model, batch)
-        assert losses["sg_t"].item() == 0.0
-        assert losses["sg_f"].item() == 0.0
+        assert losses["codebook_sg"].item() == 0.0
 
     def test_sg_terms_do_not_touch_encoder(self):
         cfg = tiny_config()
@@ -328,7 +334,7 @@ class TestLosses:
         model = TokenizerModel(cfg, rng)
         e_d = Tensor(rng.normal(size=(2, 3, cfg.code_dim)).astype(np.float32), requires_grad=True)
         probe = rng.normal(size=(2, 3, cfg.code_dim)).astype(np.float32)
-        _, _, st = _quantize_st(model, e_d, model.codebook_t)
+        _, st = _quantize_st(e_d, model.codebook_t)
         backward((st * Tensor(probe)).sum())
         np.testing.assert_allclose(e_d.grad, probe, rtol=1e-6)
         assert model.codebook_t.codes.grad is None  # forward substitution is detached
@@ -373,7 +379,8 @@ class TestLosses:
 
         def fn(wt):
             model.t_head.w = wt
-            return stage1_losses(model, batch)["temporal"]
+            losses = stage1_losses(model, batch)
+            return losses["contrastive"] + losses["temporal_recon"]
 
         try:
             err = finite_diff_check(fn, w0, eps=1e-4, scale_relative=True)
@@ -435,10 +442,20 @@ class TestTokenize:
         rng = np.random.default_rng(30)
         model = TokenizerModel(cfg, rng)
         snapshot = model.state_dict()
-        tokenize(model, self.make_grid(rng))
+        stage1_losses(model, tiny_batch(rng), train=True)
         assert model.codebook_t.usage.sum() > 0
         assert snapshot["codebook_t/usage"].sum() == 0
         assert snapshot["codebook_f/usage"].sum() == 0
+
+    def test_leaves_the_tokenizer_unchanged(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(31)
+        model = TokenizerModel(cfg, rng)
+        stage1_losses(model, tiny_batch(rng), train=True)  # nonzero usage and statistics
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        tokenize(model, self.make_grid(rng))
+        for k, v in model.state_dict().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
 
     def test_streams_can_disagree(self):
         # two independent codebooks generally pick different indices
@@ -452,22 +469,22 @@ class TestTokenize:
 
 class TestUsageReport:
     def test_fresh_codebook_all_unused(self):
-        cb = Codebook(16, 4, np.random.default_rng(30), domain="temporal")
+        cb = Codebook(16, 4, np.random.default_rng(30))
         rep = code_usage_report(cb)
-        assert rep.unused == 16
+        assert cb.unused_count() == 16
         assert rep.counts.sum() == 0
 
     def test_self_quantization_uses_everything(self):
-        cb = Codebook(16, 4, np.random.default_rng(31), domain="temporal")
-        cb.nearest(cb.codes.data.copy())
+        cb = Codebook(16, 4, np.random.default_rng(31))
+        _quantize_st(Tensor(cb.codes.data[None].copy()), cb)
         rep = code_usage_report(cb)
-        assert rep.unused == 0
+        assert cb.unused_count() == 0
         assert rep.counts.sum() == 16
 
     def test_csv_export(self, tmp_path):
-        cb = Codebook(4, 2, np.random.default_rng(32), domain="frequency")
+        cb = Codebook(4, 2, np.random.default_rng(32))
         cb.codes.data = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=np.float32)
-        cb.nearest(np.array([[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]], dtype=np.float32))
+        _quantize_st(Tensor(np.array([[[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]]], dtype=np.float32)), cb)
         rep = code_usage_report(cb)
         path = tmp_path / "usage.csv"
         rep.to_csv(path)
@@ -475,7 +492,7 @@ class TestUsageReport:
         assert lines[0] == "code_index,count"
         assert lines[1] == "0,1"
         assert lines[2] == "1,2"
-        assert rep.unused == 2
+        assert cb.unused_count() == 2
 
 
 class TestClassSpecificRatio:
