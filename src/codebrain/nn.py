@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, attention, layer_norm
+from .numerics import Tensor, attention, layer_norm, linear
 
 __all__ = [
     "Linear",
@@ -52,11 +52,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        d_in, d_out = self.w.shape
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, d_in) if x.ndim != 2 else x
-        out = flat @ self.w + self.b
-        return out.reshape(*lead, d_out) if x.ndim != 2 else out
+        return linear(x, self.w, self.b)
 
     def named_params(self) -> dict[str, Tensor]:
         return {"w": self.w, "b": self.b}

@@ -8,8 +8,6 @@ from .fourier import (
 from .functional import (
     dropout,
     finite_diff_check,
-    layer_norm,
-    rms_norm,
 )
 from .tensor import (
     MissingGradientError,
@@ -21,9 +19,12 @@ from .tensor import (
     conv1d,
     cross_entropy,
     fft_convolve,
+    layer_norm,
+    linear,
     no_grad,
     pad_axis,
     repeat_last,
+    rms_norm,
     softmax,
     stack,
     take_rows,
@@ -44,6 +45,7 @@ __all__ = [
     "fft_convolve_arrays",
     "finite_diff_check",
     "layer_norm",
+    "linear",
     "next_pow2",
     "no_grad",
     "pad_axis",

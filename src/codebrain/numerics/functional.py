@@ -1,4 +1,4 @@
-"""Composite differentiable functions built from tensor primitives."""
+"""Dropout and the finite-difference gradient checker, built on tensor primitives."""
 
 from __future__ import annotations
 
@@ -9,27 +9,9 @@ import numpy as np
 from .tensor import Tensor, backward
 
 __all__ = [
-    "rms_norm",
-    "layer_norm",
     "dropout",
     "finite_diff_check",
 ]
-
-
-def rms_norm(x: Tensor, scale: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    """Scale `x` by the reciprocal root-mean-square of its `axis` slice.
-
-    A zero vector maps to a zero vector; `eps` keeps the division defined.
-    """
-    ms = (x * x).mean(axis=axis, keepdims=True)
-    return x * scale / (ms + eps) ** 0.5
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=axis, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    return centered / (var + eps) ** 0.5 * gamma + beta
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:

@@ -3,17 +3,23 @@
 A `Tensor` wraps an ndarray plus an optional gradient buffer. Operations
 record a closure that maps the output gradient to parent gradients; calling
 `backward` on a scalar walks the recorded graph once in reverse topological
-order and accumulates into `.grad`. The tape is consumed by the walk, so a
-second `backward` through the same graph raises instead of silently reusing
-stale closures.
+order and accumulates into `.grad`. The walk consumes the tape as it goes:
+each node drops its closure and its parents once its gradient has been
+passed on, so an intermediate the caller does not hold is freed as soon as
+the walk has passed it, and a second `backward` through the same graph
+raises instead of silently reusing stale closures.
 
 Storage is float32 by default; float64 inputs stay float64 end to end, which
 is what the finite-difference checker relies on. Reductions (`sum`, `mean`)
 and the transform primitives always accumulate in 64-bit before casting back.
 
-Only the primitives this package needs are implemented. Convolution and
-spectral convolution are first-class differentiable ops rather than
-compositions, because they dominate runtime and their adjoints are exact.
+Only the primitives this package needs are implemented. Convolution,
+spectral convolution, attention and the layers every model repeats (the
+affine map `linear`, `layer_norm` and `rms_norm`) are single tape nodes
+rather than compositions: they dominate runtime and memory. Each fused op
+evaluates, forward and backward, the array expressions of the primitive
+chain it replaces, in the chain's order and with the dtype cast each inner
+node's first gradient gets, so it matches the chain bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ __all__ = [
     "take_rows",
     "softmax",
     "attention",
+    "linear",
+    "layer_norm",
+    "rms_norm",
     "cross_entropy",
     "conv1d",
     "fft_convolve",
@@ -516,6 +525,118 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return _from_op(out, (q, k, v), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` over the last axis of `x`, as one tape node.
+
+    The chain is reshape to 2-D, matmul, add, reshape back. Its add takes
+    the incoming gradient as is for a 2-D `x`, and cast to the sum's dtype
+    after the reshape otherwise; the matmul adjoints read it cast to the
+    product's dtype.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    d_out = wd.shape[1]
+    flat = xd if xd.ndim == 2 else xd.reshape(-1, wd.shape[0])
+    mm_dtype = np.result_type(flat, wd)
+    out = flat @ wd + bd
+    if xd.ndim != 2:
+        out = out.reshape(xd.shape[:-1] + (d_out,))
+
+    def vjp(g):
+        gx = gw = gb = None
+        if xd.ndim != 2:
+            g = np.asarray(g.reshape(-1, d_out), dtype=out.dtype)
+        if b.requires_grad:
+            gb = _unbroadcast(g, bd.shape)
+        if x.requires_grad or w.requires_grad:
+            g = np.asarray(g, dtype=mm_dtype)
+            if x.requires_grad:
+                gx = g @ wd.swapaxes(-1, -2)
+                if xd.ndim != 2:
+                    gx = np.asarray(gx, dtype=xd.dtype).reshape(xd.shape)
+            if w.requires_grad:
+                gw = flat.swapaxes(-1, -2) @ g
+        return (gx, gw, gb)
+
+    return _from_op(out, (x, w, b), vjp)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    `gamma` and shift by `beta`, as one tape node.
+
+    The chain is `c = x - x.mean(-1)`, then
+    `c / ((c * c).mean(-1) + eps) ** 0.5 * gamma + beta`. Its mean adjoints
+    divide by an int64 count and so come out float64. The parents are
+    (x, x, gamma, beta): `x` gets two gradients, through the centring
+    subtraction and then through the mean, and `backward` adds them in that
+    order after any it already holds (a residual branch's), as for the chain.
+    """
+    xd, gd, bd = x.data, gamma.data, beta.data
+    dt = xd.dtype
+    mu = xd.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    c = xd - mu
+    ve = (c * c).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt) + _as_array(eps)
+    r = ve**0.5
+    out = c / r * gd + bd
+    count = np.prod([xd.shape[-1]])
+
+    def vjp(g):
+        gc = gmu = ggamma = gbeta = None
+        if beta.requires_grad:
+            gbeta = _unbroadcast(g, bd.shape)
+        if x.requires_grad or gamma.requires_grad:
+            gh = np.asarray(g, dtype=np.result_type(dt, gd))
+            if gamma.requires_grad:
+                ggamma = _unbroadcast(gh * (c / r), gd.shape)  # c / r recomputed, not kept
+            if x.requires_grad:
+                gxn = np.asarray(gh * gd, dtype=dt)
+                gr = _unbroadcast(-gxn * c / (r * r), r.shape)
+                gve = gr * 0.5 * ve**-0.5
+                gsq = np.asarray(_spread(gve, c.shape, -1, True) / count, dtype=dt)
+                t = gsq * c  # both factors of c * c
+                gc = gxn / r + t
+                gc = gc + t
+                gmu = _spread(_unbroadcast(-gc, mu.shape), xd.shape, -1, True) / count
+        return (gc, gmu, ggamma, gbeta)
+
+    return _from_op(out, (x, x, gamma, beta), vjp)
+
+
+def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
+    """Scale `x` by the reciprocal root-mean-square of its last axis, and by
+    `scale`, as one tape node.
+
+    A zero vector maps to a zero vector; `eps` keeps the division defined.
+    The chain is `x * scale / ((x * x).mean(-1) + eps) ** 0.5`. Its mean
+    adjoint divides by an int64 count and so comes out float64. The parents
+    are (x, scale, x, x): `x` gets three gradients, through `x * scale` and
+    then through each factor of `x * x`, and `backward` adds them in that
+    order after any it already holds (a residual branch's), as for the chain.
+    """
+    xd, sd = x.data, scale.data
+    dt = xd.dtype
+    ms = (xd * xd).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    mse = ms + _as_array(eps)
+    den = mse**0.5
+    out = xd * sd / den
+    count = np.prod([xd.shape[-1]])
+
+    def vjp(g):
+        gx = gs = t = None
+        gnum = np.asarray(g / den, dtype=np.result_type(dt, sd))
+        if scale.requires_grad:
+            gs = _unbroadcast(gnum * xd, sd.shape)
+        if x.requires_grad:
+            gx = gnum * sd
+            num = xd * sd  # recomputed rather than kept from the forward pass
+            gden = np.asarray(_unbroadcast(-g * num / (den * den), den.shape), dtype=dt)
+            gsq = np.asarray(_spread(gden * 0.5 * mse**-0.5, xd.shape, -1, True) / count, dtype=dt)
+            t = gsq * xd  # both factors of x * x
+        return (gx, gs, t, t)
+
+    return _from_op(out, (x, scale, x, x), vjp)
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Per-row negative log-likelihood of integer targets.
 
@@ -625,13 +746,19 @@ def fft_convolve(u: Tensor, k: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar `loss` into every reachable tensor.
 
+    The walk pops each node off the topological order, passes its gradient
+    on to its parents, then drops its closure and its parents and marks it
+    consumed. So the graph is released as it is walked: an intermediate is
+    freed as soon as the walk has passed it unless the caller holds it, and
+    a held one keeps its `.grad`. Leaves keep theirs too.
+
     Raises ValueError for non-scalar losses, MissingGradientError when the
     loss is detached from all gradient-requiring tensors, and RuntimeError
-    when the graph's tape was already consumed by a previous call.
+    when the loss was already consumed by a previous call.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._done or (loss._parents and loss._vjp is None):
+    if loss._done:
         raise RuntimeError(
             "backward was already run on this graph; rerun the forward pass to record a fresh tape"
         )
@@ -657,11 +784,11 @@ def backward(loss: Tensor) -> None:
                 stack_.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        vjp = node._vjp
-        if vjp is None:
+    while topo:
+        node = topo.pop()
+        if node._vjp is None:
             continue
-        grads = vjp(node.grad)
+        grads = node._vjp(node.grad)
         for parent, g in zip(node._parents, grads):
             if not parent.requires_grad or g is None:
                 continue
@@ -674,5 +801,6 @@ def backward(loss: Tensor) -> None:
                     parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
             else:
                 parent.grad = parent.grad + g
-        node._vjp = None  # consume the tape
-    loss._done = True
+        node._parents = ()  # release the graph behind this node
+        node._vjp = None
+        node._done = True

@@ -1,11 +1,12 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
-from codebrain.nn import SelfAttention
+from codebrain.nn import SelfAttention, TransformerLayer
 from codebrain.numerics import (
     MissingGradientError,
     Tensor,
@@ -19,6 +20,7 @@ from codebrain.numerics import (
     fft_convolve,
     finite_diff_check,
     layer_norm,
+    linear,
     no_grad,
     pad_axis,
     repeat_last,
@@ -116,6 +118,34 @@ class TestGraphSemantics:
         np.testing.assert_array_equal(b.grad, np.ones(3, dtype=np.float32))
 
 
+class TestReleasedTape:
+    def test_unheld_intermediate_freed_by_backward(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        mid = x * 2.0
+        freed = weakref.ref(mid.data)
+        loss = mid.exp().sum()
+        del mid
+        assert freed() is not None  # the graph behind loss holds it
+        backward(loss)
+        assert freed() is None
+        assert loss._parents == ()
+        np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_held_intermediate_keeps_its_grad(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        mid = x * x
+        backward((mid * 3.0).sum())
+        np.testing.assert_array_equal(mid.grad, np.full(3, 3.0))
+        np.testing.assert_array_equal(x.grad, 6.0 * x.data)
+
+    def test_backward_on_consumed_inner_node_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        s = (x * x).sum()
+        backward(s * 2.0)
+        with pytest.raises(RuntimeError):
+            backward(s)
+
+
 def _tape(t: Tensor) -> list[Tensor]:
     """Every tensor reachable from `t` through recorded parents."""
     seen, todo, out = set(), [t], []
@@ -206,9 +236,95 @@ class TestAttention:
         s, dim, heads = 9, 8, 2
         x = Tensor(rng.normal(size=(2, s, dim)).astype(np.float32), requires_grad=True)
         tape = _tape(SelfAttention(dim, heads, rng)(x))
-        linear = 6  # input reshape, w, matmul, b, add, output reshape
-        assert len(tape) == 1 + 4 * linear + 3 * 2 + 1 + 2  # x, q/k/v/o, head splits, core, merge
+        lin = 3  # w, b, the linear node
+        assert len(tape) == 1 + 4 * lin + 3 * 2 + 1 + 2  # x, q/k/v/o, head splits, core, merge
         assert not [t.shape for t in tape if t.shape[-2:] == (s, s)]
+
+    def test_transformer_layer_tape_size(self):
+        # every Linear and LayerNorm is one node beside its parameters
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32), requires_grad=True)
+        tape = _tape(TransformerLayer(8, 2, 16, rng)(x))
+        attn = 4 * 3 + 3 * 2 + 1 + 2  # q/k/v/o, head splits, core, merge
+        norm, lin = 3, 3  # gamma, beta, node; w, b, node
+        # x, ln1, attn, add, ln2, fc1, relu, fc2, add
+        assert len(tape) == 1 + norm + attn + 1 + norm + lin + 1 + lin + 1
+
+
+def _linear_chain(x, w, b):
+    """The composed graph that `linear` replaces."""
+    d_in, d_out = w.shape
+    flat = x.reshape(-1, d_in) if x.ndim != 2 else x
+    out = flat @ w + b
+    return out.reshape(*x.shape[:-1], d_out) if x.ndim != 2 else out
+
+
+def _layer_norm_chain(x, gamma, beta, eps=1e-5):
+    """The composed graph that `layer_norm` replaces."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps) ** 0.5 * gamma + beta
+
+
+def _rms_norm_chain(x, scale, eps=1e-8):
+    """The composed graph that `rms_norm` replaces."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    return x * scale / (ms + eps) ** 0.5
+
+
+# op, the chain it replaces, and its parameter shapes for a last axis of 6
+FUSED_LAYERS = {
+    "linear": (linear, _linear_chain, [(6, 6), (6,)]),
+    "layer_norm": (layer_norm, _layer_norm_chain, [(6,), (6,)]),
+    "rms_norm": (rms_norm, _rms_norm_chain, [(6,)]),
+}
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("downstream", ["plain", "transposed", "float64_grad"])
+    @pytest.mark.parametrize("residual", [False, True], ids=["alone", "residual"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 4, 6)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("name", list(FUSED_LAYERS))
+    def test_bit_equal_to_composed_chain(self, name, shape, dtype, residual, downstream):
+        # `residual` feeds x to x + op(x), so x's gradient parts must be added
+        # in the chain's order; "transposed" hands the node a non-contiguous
+        # gradient, and "float64_grad" a float64 one, through a mean's adjoint
+        op, chain, param_shapes = FUSED_LAYERS[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        arrays = [rng.normal(size=shape)] + [rng.normal(size=p) for p in param_shapes]
+        probe = rng.normal(size=shape[::-1] if downstream == "transposed" else shape)
+        results = []
+        for fn in (op, chain):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+            x = leaves[0] * 1.0  # an inner node, as a residual stream is
+            out = fn(x, *leaves[1:])
+            y = out - out.mean(axis=-1, keepdims=True) if downstream == "float64_grad" else out
+            if residual:
+                y = x + y
+            if downstream == "transposed":
+                y = y.transpose(*range(y.ndim)[::-1])
+            backward((y * Tensor(probe, dtype=dtype)).sum())
+            want = np.float64 if downstream == "float64_grad" else dtype
+            assert out.grad.dtype == want
+            results.append([out.data, out.grad] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
+    def test_linear_gradient(self, which):
+        rng = np.random.default_rng(46)
+        args = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
+        probe = rng.normal(size=(2, 3, 5))
+
+        def fn(t):
+            ts = [Tensor(a, dtype=np.float64) for a in args]
+            ts[which] = t
+            return (linear(*ts) * Tensor(probe, dtype=np.float64)).sum()
+
+        assert finite_diff_check(fn, args[which], eps=1e-5) < 1e-6
 
 
 class TestPointwisePrimitives:

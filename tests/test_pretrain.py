@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -393,6 +394,35 @@ class TestTrainTokenizer:
         assert h1 == h2
         for k, v in m1.state_dict().items():
             np.testing.assert_array_equal(v, m2.state_dict()[k])
+
+    def test_graph_released_before_next_step(self, monkeypatch):
+        # backward frees step 0's graph, though the loop still holds its loss
+        # when step 1's forward pass starts
+        model, data = stage1_setup()
+        real_train, refs, alive = pretrain._train, [], []
+
+        def spy_train(*args):
+            *head, step_fn = args
+
+            def wrapped(step, items, rng):
+                alive.append(sum(r() is not None for r in refs))
+                loss, columns = step_fn(step, items, rng)
+                seen, todo = set(), list(loss._parents)
+                while todo:  # every inner node's array (numpy scalars take no weakref)
+                    node = todo.pop()
+                    if id(node) not in seen and node._parents:
+                        seen.add(id(node))
+                        if isinstance(node.data, np.ndarray):
+                            refs.append(weakref.ref(node.data))
+                        todo.extend(node._parents)
+                return loss, columns
+
+            return real_train(*head, wrapped)
+
+        monkeypatch.setattr(pretrain, "_train", spy_train)
+        train_tokenizer(model, data, self.config(steps=2))
+        assert len(refs) > 100
+        assert alive == [0, 0]
 
     def test_unused_counts_non_increasing(self):
         model, data = stage1_setup()

@@ -59,6 +59,17 @@ def dense_attention_oracle(x, params, window):
     return out @ params.o.w.data.astype(np.float64) + params.o.b.data.astype(np.float64)
 
 
+def tape_size(*roots):
+    """Number of tensors reachable from `roots` through recorded parents."""
+    seen, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
 class TestBuildKernel:
     def test_hand_example(self):
         # L=8, d=2, alpha=1/2, all sub-kernel taps 1, no normalization:
@@ -262,15 +273,6 @@ class TestSwaForward:
 
     def test_tape_size_independent_of_window(self):
         # the window is one band op, not a graph node per offset
-        def tape_size(t):
-            seen, todo = set(), [t]
-            while todo:
-                node = todo.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    todo.extend(node._parents)
-            return len(seen)
-
         rng = np.random.default_rng(37)
         params = SwaParams.create(4, rng)
         x = Tensor(rng.normal(size=(2, 40, 4)).astype(np.float32), requires_grad=True)
@@ -317,6 +319,22 @@ class TestGateAndBlock:
         x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32))
         x_next, _ = block_forward(block, x)
         np.testing.assert_array_equal(x_next.data, x.data)
+
+    def test_block_tape_size(self):
+        # RMSNorm and each of the eight Linears are one node beside their
+        # parameters
+        rng = np.random.default_rng(45)
+        block = EegssmBlock.create(4, 16, 4, 3, rng)
+        x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32), requires_grad=True)
+        # weights; sub-kernels 0, 1, 2; concat; L1 normalisation; then
+        # transpose, fft_convolve, transpose
+        sgconv = 1 + 3 + 3 + 4 + 1 + 5 + 3
+        lin = 3  # w, b, the linear node
+        # q/k/v/o; query scale; bands; scores; bias; softmax; weighted sum
+        swa = 4 * lin + 2 + 2 + 3 + 2 + 1 + 3
+        gate = 4 * lin + 4  # wf/wg/out1/out2; concat, tanh, sigmoid, product
+        # x, the norm and its scale, the three mixers, the residual add
+        assert tape_size(*block_forward(block, x)) == 1 + 2 + sgconv + swa + gate + 1
 
     def test_block_gradient(self):
         rng = np.random.default_rng(43)
