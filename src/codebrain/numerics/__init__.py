@@ -14,7 +14,6 @@ from .tensor import (
     Tensor,
     attention,
     backward,
-    band,
     concat,
     conv1d,
     cross_entropy,
@@ -28,6 +27,7 @@ from .tensor import (
     softmax,
     stack,
     take_rows,
+    window_attention,
 )
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Tensor",
     "attention",
     "backward",
-    "band",
     "concat",
     "conv1d",
     "cross_entropy",
@@ -54,4 +53,5 @@ __all__ = [
     "softmax",
     "stack",
     "take_rows",
+    "window_attention",
 ]

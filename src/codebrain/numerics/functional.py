@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import Tensor, _dropout_mask, backward
 
 __all__ = [
     "dropout",
@@ -20,8 +20,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * mask
+    return x * _dropout_mask(x.shape, p, rng, x.dtype)
 
 
 def finite_diff_check(

@@ -14,12 +14,13 @@ is what the finite-difference checker relies on. Reductions (`sum`, `mean`)
 and the transform primitives always accumulate in 64-bit before casting back.
 
 Only the primitives this package needs are implemented. Convolution,
-spectral convolution, attention and the layers every model repeats (the
-affine map `linear`, `layer_norm` and `rms_norm`) are single tape nodes
-rather than compositions: they dominate runtime and memory. Each fused op
-evaluates, forward and backward, the array expressions of the primitive
-chain it replaces, in the chain's order and with the dtype cast each inner
-node's first gradient gets, so it matches the chain bit for bit.
+spectral convolution, dense and windowed attention and the layers every
+model repeats (the affine map `linear`, `layer_norm` and `rms_norm`) are
+single tape nodes rather than compositions: they dominate runtime and
+memory. Each fused op evaluates, forward and backward, the array
+expressions of the primitive chain it replaces, in the chain's order and
+with the dtype cast each inner node's first gradient gets, so it matches
+the chain bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "take_rows",
     "softmax",
     "attention",
+    "window_attention",
     "linear",
     "layer_norm",
     "rms_norm",
@@ -49,7 +51,6 @@ __all__ = [
     "fft_convolve",
     "repeat_last",
     "pad_axis",
-    "band",
 ]
 
 
@@ -318,7 +319,10 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _from_op(out, (a, b), vjp)
 
@@ -327,7 +331,10 @@ def _sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _from_op(out, (a, b), vjp)
 
@@ -435,33 +442,6 @@ def pad_axis(t: Tensor, axis: int, before: int, after: int) -> Tensor:
     return _from_op(out, (t,), vjp)
 
 
-def band(t: Tensor, half: int) -> Tensor:
-    """Windows of a (B, S, F) sequence: out[:, i, j] = t[:, i + j - half].
-
-    Returns a read-only (B, S, 2*half + 1, F) view of the sequence padded
-    with `half` zero rows at each end, so out-of-range rows read as zeros.
-    The adjoint overlap-adds the window slices.
-    """
-    if half < 0:
-        raise ValueError("band half-width must be non-negative")
-    d = t.data
-    if d.ndim != 3:
-        raise ValueError(f"band expects a (B, S, F) sequence, got shape {d.shape}")
-    b, s, f = d.shape
-    w = 2 * half + 1
-    padded = np.pad(d, ((0, 0), (half, half), (0, 0)))
-    s0, s1, s2 = padded.strides
-    out = np.lib.stride_tricks.as_strided(padded, (b, s, w, f), (s0, s1, s1, s2), writeable=False)
-
-    def vjp(g):
-        buf = np.zeros(padded.shape, dtype=g.dtype)
-        for j in range(w):
-            buf[:, j : j + s] += g[:, :, j]
-        return (buf[:, half : half + s],)
-
-    return _from_op(out, (t,), vjp)
-
-
 def repeat_last(t: Tensor, reps: int) -> Tensor:
     """Nearest-neighbour upsampling of the last axis by an integer factor."""
     if reps < 1:
@@ -523,6 +503,83 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         return (gq, gk, gv)
 
     return _from_op(out, (q, k, v), vjp)
+
+
+def _dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 with probability p, 1/(1-p) elsewhere."""
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def window_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    half: int,
+    p_drop: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Attention over (B, S, F) where row i of `q` attends to rows
+    i - half .. i + half of `k` and `v`, as one tape node. `q` comes scaled.
+
+    Keys and values are read through a (B, S, W, F) window view of the
+    sequence padded with `half` zero rows at each end, W = 2 * half + 1, so
+    scores and the weighted sum are two batched matmuls over the W offsets.
+    Offsets outside the sequence get an additive -1e9 before the softmax,
+    which underflows to an exact zero weight. With `p_drop` > 0 the weights
+    go through inverted dropout.
+
+    Forward and adjoint evaluate the array expressions of the chain band,
+    matmul, bias add, softmax, dropout, matmul, in its order, so outputs and
+    gradients match it bit for bit. The key and value gradients are formed
+    offset by offset in padded buffers, the same products summed in the same
+    order as the band adjoint's overlap-add, so no (B, S, W, F) gradient is
+    built. The parents are ordered (k, q, v): so `backward` walks the maps
+    that produce them in the chain's order, and an input they share (a
+    block's normed sequence) adds up its three parts as through the chain.
+    """
+    if not 0.0 <= p_drop < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p_drop}")
+    qd, kd, vd = q.data, k.data, v.data
+    b, s, f = qd.shape
+    w = 2 * half + 1
+    pad = ((0, 0), (half, half), (0, 0))
+    keys, values = (
+        np.lib.stride_tricks.sliding_window_view(np.pad(d, pad), w, axis=1).swapaxes(-1, -2)
+        for d in (kd, vd)
+    )
+    pos = np.arange(s)[:, None] + np.arange(-half, half + 1)
+    bias = np.where((0 <= pos) & (pos < s), 0.0, -1e9).astype(np.float32)
+    z = (keys @ qd.reshape(b, s, f, 1)).reshape(b, s, w) + bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = (e / e.sum(axis=-1, keepdims=True)).astype(z.dtype)
+    mask = _dropout_mask(p.shape, p_drop, rng, p.dtype) if p_drop > 0 else None
+    pd = p if mask is None else p * mask
+    out = (pd.reshape(b, s, 1, w) @ values).reshape(b, s, f)
+
+    def overlap_add(weights, rows, dtype):
+        # row i: weights[:, i + half - j, j] * rows[:, i + half - j], j = 0 .. W-1 in order
+        buf = np.zeros((b, s + 2 * half, f), dtype=dtype)
+        for j in range(w):
+            buf[:, j : j + s] += weights[:, :, j, None] * rows
+        return buf[:, half : half + s]
+
+    def vjp(g):
+        gk = gq = gv = None
+        g = np.asarray(g, dtype=out.dtype)
+        if v.requires_grad:
+            gv = overlap_add(pd, g, vd.dtype)
+        if q.requires_grad or k.requires_grad:
+            gp = (g.reshape(b, s, 1, f) @ values.swapaxes(-1, -2)).reshape(b, s, w)
+            if mask is not None:
+                gp = gp * mask
+            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True))  # softmax adjoint
+            if q.requires_grad:
+                gq = (keys.swapaxes(-1, -2) @ gz.reshape(b, s, w, 1)).reshape(b, s, f)
+            if k.requires_grad:
+                gk = overlap_add(gz, qd, kd.dtype)
+        return (gk, gq, gv)
+
+    return _from_op(out, (k, q, v), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -22,14 +22,13 @@ import numpy as np
 from . import nn
 from .numerics import (
     Tensor,
-    band,
     concat,
     dropout,
     fft_convolve,
     fourier,
     repeat_last,
     rms_norm,
-    softmax,
+    window_attention,
 )
 
 __all__ = [
@@ -193,28 +192,19 @@ def swa_forward(
     """Attention over (B, S, F) where position i attends to
     |j - i| <= floor(window/2).
 
-    Keys and values are read through one band view (B, S, W, F) of the
-    zero-padded sequence, so scores and the weighted sum are two batched
-    matmuls over W offsets (O(S * window) work) rather than a masked dense
-    score matrix. Offsets that fall outside the sequence get an additive
-    -1e9 before the softmax, which underflows to an exact zero weight.
+    The q/k/v/o maps are Linears; the scores, their -1e9 out-of-sequence
+    bias, the softmax, the dropout and the weighted sum are one
+    `numerics.window_attention` node, O(S * window) work over a band view
+    of the zero-padded keys and values rather than a masked dense score
+    matrix.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     x = x if isinstance(x, Tensor) else Tensor(x)
-    b, s, f = x.shape
+    _, s, f = x.shape
     half = min(window // 2, s - 1)  # wider offsets never land in the sequence
-    w = 2 * half + 1
     q = params.q(x) * (1.0 / np.sqrt(f))
-    keys = band(params.k(x), half)  # (B, S, W, F)
-    values = band(params.v(x), half)
-    scores = (keys @ q.reshape(b, s, f, 1)).reshape(b, s, w)
-    pos = np.arange(s)[:, None] + np.arange(-half, half + 1)
-    bias = np.where((0 <= pos) & (pos < s), 0.0, -1e9).astype(np.float32)
-    p = softmax(scores + Tensor(bias), axis=-1)  # (B, S, W)
-    if train and p_drop > 0:
-        p = dropout(p, p_drop, rng, train)
-    out = (p.reshape(b, s, 1, w) @ values).reshape(b, s, f)
+    out = window_attention(q, params.k(x), params.v(x), half, p_drop if train else 0.0, rng)
     return params.o(out)
 
 

@@ -6,13 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
+from codebrain import ssm
 from codebrain.nn import SelfAttention, TransformerLayer
 from codebrain.numerics import (
     MissingGradientError,
     Tensor,
     attention,
     backward,
-    band,
     concat,
     conv1d,
     cross_entropy,
@@ -28,7 +28,9 @@ from codebrain.numerics import (
     softmax,
     stack,
     take_rows,
+    window_attention,
 )
+from codebrain.numerics.tensor import _from_op
 from codebrain.pretrain import clip_grad_norm
 
 TOL = 1e-4  # primitive-level relative tolerance vs central differences
@@ -163,6 +165,8 @@ CONSTANT_OPERAND_OPS = {
     "mul": (lambda a, b: a * b, (3, 4), (3, 4)),
     "div": (lambda a, b: a / b, (3, 4), (3, 4)),
     "matmul": (lambda a, b: a @ b, (3, 4), (4, 2)),
+    "add": (lambda a, b: a + b, (3, 4), (4,)),
+    "sub": (lambda a, b: a - b, (3, 4), (4,)),
     "conv1d": (lambda a, b: conv1d(a, b, stride=2, pad=1), (2, 3, 9), (4, 3, 3)),
     "fft_convolve": (lambda a, b: fft_convolve(a, b), (3, 8), (8,)),
 }
@@ -249,6 +253,106 @@ class TestAttention:
         norm, lin = 3, 3  # gamma, beta, node; w, b, node
         # x, ln1, attn, add, ln2, fc1, relu, fc2, add
         assert len(tape) == 1 + norm + attn + 1 + norm + lin + 1 + lin + 1
+
+
+def band(t, half):
+    """Windows of a (B, S, F) sequence: out[:, i, j] = t[:, i + j - half].
+
+    Returns a read-only (B, S, 2*half + 1, F) view of the sequence padded
+    with `half` zero rows at each end, so out-of-range rows read as zeros.
+    The adjoint overlap-adds the window slices.
+    """
+    d = t.data
+    b, s, f = d.shape
+    w = 2 * half + 1
+    padded = np.pad(d, ((0, 0), (half, half), (0, 0)))
+    s0, s1, s2 = padded.strides
+    out = np.lib.stride_tricks.as_strided(padded, (b, s, w, f), (s0, s1, s1, s2), writeable=False)
+
+    def vjp(g):
+        buf = np.zeros(padded.shape, dtype=g.dtype)
+        for j in range(w):
+            buf[:, j : j + s] += g[:, :, j]
+        return (buf[:, half : half + s],)
+
+    return _from_op(out, (t,), vjp)
+
+
+def _window_attention_chain(q, k, v, half, p_drop=0.0, rng=None):
+    """The composed graph that `window_attention` replaces."""
+    b, s, f = q.shape
+    w = 2 * half + 1
+    keys = band(k, half)  # (B, S, W, F)
+    values = band(v, half)
+    scores = (keys @ q.reshape(b, s, f, 1)).reshape(b, s, w)
+    pos = np.arange(s)[:, None] + np.arange(-half, half + 1)
+    bias = np.where((0 <= pos) & (pos < s), 0.0, -1e9).astype(np.float32)
+    p = softmax(scores + Tensor(bias), axis=-1)  # (B, S, W)
+    if p_drop > 0:
+        p = dropout(p, p_drop, rng)
+    return (p.reshape(b, s, 1, w) @ values).reshape(b, s, f)
+
+
+class TestWindowAttention:
+    @pytest.mark.parametrize("p_drop", [0.0, 0.1], ids=["no_drop", "drop"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "b,s,half", [(1, 9, 0), (2, 9, 3), (3, 5, 7)], ids=["w1", "b2", "w_over_2s"]
+    )
+    def test_bit_equal_to_composed_chain(self, b, s, half, dtype, p_drop):
+        rng = np.random.default_rng(47)
+        arrays = [rng.normal(size=(b, s, 4)) for _ in range(3)]
+        probe = Tensor(rng.normal(size=(b, s, 4)), dtype=dtype)
+        results = []
+        for op in (window_attention, _window_attention_chain):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+            drop_rng = np.random.default_rng(48)
+            out = op(*leaves, half, p_drop, drop_rng)
+            backward((out * probe).sum())
+            # the same draws from the dropout stream, and the same results
+            results.append([out.data] + [t.grad for t in leaves] + [drop_rng.random(3)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert results[0][0].dtype == dtype
+
+    @pytest.mark.parametrize("p_drop", [0.0, 0.1], ids=["no_drop", "drop"])
+    @pytest.mark.parametrize("window", [1, 5, 31], ids=["w1", "w5", "w_over_2s"])
+    def test_block_gradients_bit_equal_to_chain(self, monkeypatch, window, p_drop):
+        # the block input reaches the node three times, through the q, k and v
+        # Linears; `backward` must add those parts in the chain's order
+        results = []
+        for op in (window_attention, _window_attention_chain):
+            monkeypatch.setattr(ssm, "window_attention", op)
+            rng = np.random.default_rng(49)
+            block = ssm.EegssmBlock.create(8, 16, 4, window, rng, p_drop=p_drop)
+            x = Tensor(rng.normal(size=(2, 12, 8)).astype(np.float32), requires_grad=True)
+            probe = Tensor(rng.normal(size=(2, 12, 8)).astype(np.float32))
+            y, skip = ssm.block_forward(block, x, train=True, rng=rng)
+            backward(((y + skip) * probe).sum())
+            grads = [t.grad for t in block.named_params().values()]  # rms_scale's first
+            results.append([y.data, skip.data, x.grad] + grads + [rng.random(3)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+    def test_gradient(self, which):
+        rng = np.random.default_rng(50)
+        qkv = [rng.normal(size=(2, 6, 3)) for _ in range(3)]
+        probe = rng.normal(size=(2, 6, 3))
+
+        def fn(x):
+            args = [Tensor(a, dtype=np.float64) for a in qkv]
+            args[which] = x
+            return (window_attention(*args, 2) * Tensor(probe, dtype=np.float64)).sum()
+
+        assert finite_diff_check(fn, qkv[which], eps=1e-5) < 1e-6
+
+    def test_invalid_dropout_raises(self):
+        t = Tensor(np.zeros((1, 3, 2)))
+        with pytest.raises(ValueError):
+            window_attention(t, t, t, 1, 1.0, np.random.default_rng(0))
 
 
 def _linear_chain(x, w, b):

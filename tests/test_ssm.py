@@ -2,6 +2,8 @@
 gated blocks, and the benchmark report. Oracles are direct O(n^2) convolution
 and dense masked attention."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,11 +274,27 @@ class TestSwaForward:
             swa_forward(np.zeros((1, 4, 2)), params, 0)
 
     def test_tape_size_independent_of_window(self):
-        # the window is one band op, not a graph node per offset
+        # the window is one node, not a graph node per offset
         rng = np.random.default_rng(37)
         params = SwaParams.create(4, rng)
         x = Tensor(rng.normal(size=(2, 40, 4)).astype(np.float32), requires_grad=True)
         assert tape_size(swa_forward(x, params, 7)) == tape_size(swa_forward(x, params, 31))
+
+    def test_backward_builds_no_window_sized_gradient(self):
+        # the key and value adjoints are overlap-added offset by offset, so
+        # the backward pass never holds a (B, S, W, F) array
+        rng = np.random.default_rng(38)
+        b, s, f, window = 2, 256, 16, 31
+        params = SwaParams.create(f, rng)
+        x = Tensor(rng.normal(size=(b, s, f)).astype(np.float32), requires_grad=True)
+        loss = swa_forward(x, params, window).sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * s * window * f * np.dtype(np.float32).itemsize
 
     def test_gradient(self):
         rng = np.random.default_rng(36)
@@ -330,8 +348,8 @@ class TestGateAndBlock:
         # transpose, fft_convolve, transpose
         sgconv = 1 + 3 + 3 + 4 + 1 + 5 + 3
         lin = 3  # w, b, the linear node
-        # q/k/v/o; query scale; bands; scores; bias; softmax; weighted sum
-        swa = 4 * lin + 2 + 2 + 3 + 2 + 1 + 3
+        # q/k/v/o; query scale; the window attention node
+        swa = 4 * lin + 2 + 1
         gate = 4 * lin + 4  # wf/wg/out1/out2; concat, tanh, sigmoid, product
         # x, the norm and its scale, the three mixers, the residual add
         assert tape_size(*block_forward(block, x)) == 1 + 2 + sgconv + swa + gate + 1
