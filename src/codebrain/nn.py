@@ -1,8 +1,9 @@
 """Shared trainable layers built on the autodiff tensor.
 
-Every layer exposes `named_params()` (trainable tensors) and, where relevant,
-`named_buffers()` (non-trainable running state). Names are slash-separated so
-owners can prefix them into a flat state dict.
+Every layer and model is a `Module`: it names its state in `children()`,
+and the base class derives the flat parameter and buffer maps, the state
+dict and the one checked state loader from that tree. Flat names join the
+path with slashes, e.g. `encoder/layer0/attn/q/w`.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import numpy as np
 from .numerics import Tensor, attention, layer_norm, linear
 
 __all__ = [
+    "Module",
     "Linear",
     "LayerNorm",
     "BatchNorm1d",
     "SelfAttention",
     "TransformerLayer",
     "TransformerEncoder",
-    "load_params",
     "prefix_params",
 ]
 
@@ -27,23 +28,65 @@ def prefix_params(prefix: str, items: dict[str, Tensor]) -> dict[str, Tensor]:
     return {f"{prefix}/{k}": v for k, v in items.items()}
 
 
-def load_params(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
-    """Copy `state[name]` into each named parameter, keeping its dtype.
+class Module:
+    """A layer or model whose state is the tree `children()` returns.
 
-    Every name is checked before any parameter changes: a missing name
-    raises KeyError and a shape that differs raises ValueError. Extra names
-    in `state` (buffers, optimizer moments) are ignored.
+    `children()` maps names, in order, to trainable Tensors, buffers (numpy
+    arrays of running state that are saved but not trained) and child
+    Modules. It is read at every call, so a layer may replace its arrays
+    between calls. The order of `named_params()` is the tree's order; the
+    optimizer and gradient clipping iterate in it.
     """
-    for k, t in params.items():
-        if k not in state:
-            raise KeyError(f"missing parameter {k!r} in state")
-        if state[k].shape != t.data.shape:
-            raise ValueError(f"shape mismatch for {k!r}: {state[k].shape} vs {t.data.shape}")
-    for k, t in params.items():
-        t.data = state[k].astype(t.data.dtype).copy()
+
+    def children(self) -> dict[str, Tensor | np.ndarray | Module]:
+        raise NotImplementedError
+
+    def _leaves(self) -> dict[str, Tensor | np.ndarray]:
+        out = {}
+        for name, child in self.children().items():
+            if isinstance(child, Module):
+                out.update(prefix_params(name, child._leaves()))
+            else:
+                out[name] = child
+        return out
+
+    def named_params(self) -> dict[str, Tensor]:
+        return {k: v for k, v in self._leaves().items() if isinstance(v, Tensor)}
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return {k: v for k, v in self._leaves().items() if not isinstance(v, Tensor)}
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Parameter arrays, then copies of the buffers.
+
+        The parameters are not copied: the optimizer replaces a parameter's
+        array rather than writing into it, so a held state dict stays a
+        snapshot. Buffers can change in place (code usage counts)."""
+        out = {k: v.data for k, v in self.named_params().items()}
+        out.update({k: v.copy() for k, v in self.named_buffers().items()})
+        return out
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy `state` into every parameter and buffer, keeping dtypes.
+
+        Every name is checked before anything changes: a missing name raises
+        KeyError and a shape that differs raises ValueError. Extra names in
+        `state` (optimizer moments) are ignored. Buffers are written in place.
+        """
+        params, buffers = self.named_params(), self.named_buffers()
+        current = {**{k: v.data for k, v in params.items()}, **buffers}
+        for k, arr in current.items():
+            if k not in state:
+                raise KeyError(f"missing {k!r} in state")
+            if state[k].shape != arr.shape:
+                raise ValueError(f"shape mismatch for {k!r}: {state[k].shape} vs {arr.shape}")
+        for k, t in params.items():
+            t.data = state[k].astype(t.data.dtype)
+        for k, buf in buffers.items():
+            buf[...] = state[k]
 
 
-class Linear:
+class Linear(Module):
     """Affine map on the last axis; weights (in, out) and a bias."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, w_std: float | None = None):
@@ -54,11 +97,11 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    def named_params(self) -> dict[str, Tensor]:
+    def children(self) -> dict:
         return {"w": self.w, "b": self.b}
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
@@ -66,11 +109,11 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
 
-    def named_params(self) -> dict[str, Tensor]:
+    def children(self) -> dict:
         return {"gamma": self.gamma, "beta": self.beta}
 
 
-class BatchNorm1d:
+class BatchNorm1d(Module):
     """Batch normalization over (B, C, L): stats per channel.
 
     Training mode normalizes by batch statistics and updates the running
@@ -105,18 +148,16 @@ class BatchNorm1d:
         b = self.beta.reshape(1, -1, 1)
         return xn * g + b
 
-    def named_params(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_buffers(self, bufs: dict[str, np.ndarray]) -> None:
-        self.running_mean = bufs["running_mean"].astype(np.float32).copy()
-        self.running_var = bufs["running_var"].astype(np.float32).copy()
+    def children(self) -> dict:
+        return {
+            "gamma": self.gamma,
+            "beta": self.beta,
+            "running_mean": self.running_mean,
+            "running_var": self.running_var,
+        }
 
 
-class SelfAttention:
+class SelfAttention(Module):
     """Multi-head scaled dot-product self-attention over (B, S, H)."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -143,14 +184,11 @@ class SelfAttention:
         out = out.transpose(0, 2, 1, 3).reshape(b, s, self.dim)
         return self.o(out)
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("q", self.q), ("k", self.k), ("v", self.v), ("o", self.o)):
-            out.update(prefix_params(name, lin.named_params()))
-        return out
+    def children(self) -> dict:
+        return {"q": self.q, "k": self.k, "v": self.v, "o": self.o}
 
 
-class TransformerLayer:
+class TransformerLayer(Module):
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x))."""
 
     def __init__(self, dim: int, heads: int, mlp_dim: int, rng: np.random.Generator):
@@ -164,17 +202,11 @@ class TransformerLayer:
         x = x + self.attn(self.ln1(x))
         return x + self.fc2(self.fc1(self.ln2(x)).relu())
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(prefix_params("ln1", self.ln1.named_params()))
-        out.update(prefix_params("attn", self.attn.named_params()))
-        out.update(prefix_params("ln2", self.ln2.named_params()))
-        out.update(prefix_params("fc1", self.fc1.named_params()))
-        out.update(prefix_params("fc2", self.fc2.named_params()))
-        return out
+    def children(self) -> dict:
+        return {"ln1": self.ln1, "attn": self.attn, "ln2": self.ln2, "fc1": self.fc1, "fc2": self.fc2}
 
 
-class TransformerEncoder:
+class TransformerEncoder(Module):
     def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int, rng: np.random.Generator):
         self.layers = [TransformerLayer(dim, heads, mlp_dim, rng) for _ in range(layers)]
         self.ln = LayerNorm(dim)
@@ -184,9 +216,5 @@ class TransformerEncoder:
             x = layer(x)
         return self.ln(x)
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(prefix_params(f"layer{i}", layer.named_params()))
-        out.update(prefix_params("ln", self.ln.named_params()))
-        return out
+    def children(self) -> dict:
+        return {**{f"layer{i}": layer for i, layer in enumerate(self.layers)}, "ln": self.ln}

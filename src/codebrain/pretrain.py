@@ -393,7 +393,7 @@ def _train(
         raise ValueError("empty dataset")
     params = model.named_params()
     opt = AdamW(params, betas=config.betas, eps=config.eps, weight_decay=config.weight_decay)
-    full_config = {"train": _config_dict(config), "model": asdict(model.config)}
+    full_config = {"train": asdict(config), "model": asdict(model.config)}
 
     def save(step: int, name: str, state: dict[str, np.ndarray]) -> None:
         save_checkpoint(os.path.join(out_dir, name), {**state, **opt.state_dict()}, full_config, step)
@@ -417,7 +417,7 @@ def _train(
 
         # the forward pass moves buffers (BatchNorm statistics, code usage);
         # diverged/ must hold them as they were before this step
-        buffers = {k: v for k, v in model.state_dict().items() if k not in params}
+        buffers = {k: v.copy() for k, v in model.named_buffers().items()}
         opt.zero_grad()
         loss, columns = step_fn(step, [data[i] for i in idx], rng)
         backward(loss)
@@ -439,12 +439,6 @@ def _train(
         save(config.steps, "final", model.state_dict())
         write_history_csv(earlier + history, history_path)
     return history
-
-
-def _config_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["betas"] = list(d["betas"])
-    return d
 
 
 # ---- stage 1 -------------------------------------------------------------------

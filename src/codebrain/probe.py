@@ -250,7 +250,7 @@ class ProbeConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-class ProbeHead:
+class ProbeHead(nn.Module):
     """Three affine maps with ELU + dropout between them.
 
     Layer 1 consumes the flattened (channels x features) matrix, layer 2
@@ -281,17 +281,8 @@ class ProbeHead:
         x = dropout(x, self.config.p_drop, rng, train)
         return self.layer3(x)
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("layer1", self.layer1), ("layer2", self.layer2), ("layer3", self.layer3)):
-            out.update(nn.prefix_params(name, lin.named_params()))
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.named_params().items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        nn.load_params(self.named_params(), state)
+    def children(self) -> dict:
+        return {"layer1": self.layer1, "layer2": self.layer2, "layer3": self.layer3}
 
 
 def extract_features(model: EegssmModel, grids: list[PatchGrid]) -> np.ndarray:

@@ -67,7 +67,7 @@ def sgconv_param_count(features: int, length: int, base: int) -> int:
 
 
 @dataclass
-class SgconvSpec:
+class SgconvSpec(nn.Module):
     """Multi-resolution depthwise kernel parameters.
 
     `weights` has shape (features, N, d): N sub-kernel vectors of length d
@@ -97,6 +97,9 @@ class SgconvSpec:
     @property
     def n_subkernels(self) -> int:
         return self.weights.shape[1]
+
+    def children(self) -> dict:
+        return {"weights": self.weights}
 
     @classmethod
     def create(
@@ -157,7 +160,7 @@ def sgconv_forward(u, spec: SgconvSpec) -> Tensor:
 
 
 @dataclass
-class SwaParams:
+class SwaParams(nn.Module):
     """Single-head query/key/value/output maps for windowed attention."""
 
     q: nn.Linear
@@ -174,11 +177,8 @@ class SwaParams:
             o=nn.Linear(features, features, rng),
         )
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("q", self.q), ("k", self.k), ("v", self.v), ("o", self.o)):
-            out.update(nn.prefix_params(name, lin.named_params()))
-        return out
+    def children(self) -> dict:
+        return {"q": self.q, "k": self.k, "v": self.v, "o": self.o}
 
 
 def swa_forward(
@@ -209,7 +209,7 @@ def swa_forward(
 
 
 @dataclass
-class GateParams:
+class GateParams(nn.Module):
     """Fusion gate: two (2F -> F) filters plus two (F -> F) output convolutions.
 
     All four are kernel-size-1 convolutions over the sequence, i.e. position-
@@ -230,11 +230,8 @@ class GateParams:
             out2=nn.Linear(features, features, rng),
         )
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, lin in (("wf", self.wf), ("wg", self.wg), ("out1", self.out1), ("out2", self.out2)):
-            out.update(nn.prefix_params(name, lin.named_params()))
-        return out
+    def children(self) -> dict:
+        return {"wf": self.wf, "wg": self.wg, "out1": self.out1, "out2": self.out2}
 
 
 def gate(y_sg: Tensor, y_swa: Tensor, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -247,7 +244,7 @@ def gate(y_sg: Tensor, y_swa: Tensor, params: GateParams) -> tuple[Tensor, Tenso
 
 
 @dataclass
-class EegssmBlock:
+class EegssmBlock(nn.Module):
     rms_scale: Tensor
     sgconv: SgconvSpec
     swa: SwaParams
@@ -277,11 +274,8 @@ class EegssmBlock:
             p_drop=p_drop,
         )
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {"rms_scale": self.rms_scale, "sgconv/weights": self.sgconv.weights}
-        out.update(nn.prefix_params("swa", self.swa.named_params()))
-        out.update(nn.prefix_params("gate", self.gate.named_params()))
-        return out
+    def children(self) -> dict:
+        return {"rms_scale": self.rms_scale, "sgconv": self.sgconv, "swa": self.swa, "gate": self.gate}
 
 
 def block_forward(
@@ -340,6 +334,8 @@ class EegssmConfig:
             raise ValueError("need at least one block")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if not 0.0 <= self.p_drop < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass
@@ -351,7 +347,7 @@ class EegssmOutput:
     logits_f: Tensor  # (B, S, K)
 
 
-class EegssmModel:
+class EegssmModel(nn.Module):
     """Patch embedding, optional mask substitution, block stack, two heads.
 
     The patch embedding is a kernel-size-T stride-T 1-D convolution over the
@@ -409,21 +405,14 @@ class EegssmModel:
             logits_f=self.head_f(feats),
         )
 
-    def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(nn.prefix_params("embed", self.embed.named_params()))
-        out["mask_embed"] = self.mask_embed
-        for i, blk in enumerate(self.blocks):
-            out.update(nn.prefix_params(f"block{i}", blk.named_params()))
-        out.update(nn.prefix_params("head_t", self.head_t.named_params()))
-        out.update(nn.prefix_params("head_f", self.head_f.named_params()))
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.named_params().items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        nn.load_params(self.named_params(), state)
+    def children(self) -> dict:
+        return {
+            "embed": self.embed,
+            "mask_embed": self.mask_embed,
+            **{f"block{i}": blk for i, blk in enumerate(self.blocks)},
+            "head_t": self.head_t,
+            "head_f": self.head_f,
+        }
 
 
 # ---- benchmark ---------------------------------------------------------------

@@ -96,7 +96,7 @@ class TokenizerConfig:
         return self.conv_channels[-1] * self.conv_out_len()
 
 
-class Codebook:
+class Codebook(nn.Module):
     """K learnable code vectors of width D, plus how often training picked each."""
 
     def __init__(self, size: int, dim: int, rng: np.random.Generator):
@@ -155,6 +155,9 @@ class Codebook:
             out[sel] = exact.argmin(axis=1)
         return out
 
+    def children(self) -> dict:
+        return {"codes": self.codes, "usage": self.usage}
+
     def reset_usage(self) -> None:
         self.usage[:] = 0
 
@@ -178,7 +181,7 @@ class TokenGrid:
         return self.z_t.shape
 
 
-class TokenizerModel:
+class TokenizerModel(nn.Module):
     """Encoder, two codebooks, and two decoders; see the module docstring."""
 
     def __init__(self, config: TokenizerConfig, rng: np.random.Generator):
@@ -233,52 +236,18 @@ class TokenizerModel:
 
     # ---- state -----------------------------------------------------------
 
-    def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (w, b) in enumerate(self.convs):
-            out[f"conv{i}/w"] = w
-            out[f"conv{i}/b"] = b
-            out.update(nn.prefix_params(f"conv{i}/bn", self.conv_bns[i].named_params()))
-        out.update(nn.prefix_params("freq_proj", self.freq_proj.named_params()))
-        out.update(nn.prefix_params("input_proj", self.input_proj.named_params()))
-        out["pos_embed"] = self.pos_embed
-        out.update(nn.prefix_params("encoder", self.encoder.named_params()))
-        out.update(nn.prefix_params("down", self.down.named_params()))
-        out["codebook_t/codes"] = self.codebook_t.codes
-        out["codebook_f/codes"] = self.codebook_f.codes
-        out.update(nn.prefix_params("up_t", self.up_t.named_params()))
-        out.update(nn.prefix_params("up_f", self.up_f.named_params()))
-        out.update(nn.prefix_params("f_decoder", self.f_decoder.named_params()))
-        out.update(nn.prefix_params("t_decoder", self.t_decoder.named_params()))
-        out.update(nn.prefix_params("f_head_amp", self.f_head_amp.named_params()))
-        out.update(nn.prefix_params("f_head_phase", self.f_head_phase.named_params()))
-        out.update(nn.prefix_params("t_head", self.t_head.named_params()))
-        return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, bn in enumerate(self.conv_bns):
-            for k, v in bn.named_buffers().items():
-                out[f"conv{i}/bn/{k}"] = v
-        out["codebook_t/usage"] = self.codebook_t.usage
-        out["codebook_f/usage"] = self.codebook_f.usage
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        out = {k: v.data for k, v in self.named_params().items()}
-        # copies: the training loss counts code usage in place
-        out.update({k: v.copy() for k, v in self.named_buffers().items()})
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        nn.load_params(self.named_params(), state)
-        for i, bn in enumerate(self.conv_bns):
-            bn.load_buffers({
-                "running_mean": state[f"conv{i}/bn/running_mean"],
-                "running_var": state[f"conv{i}/bn/running_var"],
-            })
-        self.codebook_t.usage = state["codebook_t/usage"].astype(np.int64).copy()
-        self.codebook_f.usage = state["codebook_f/usage"].astype(np.int64).copy()
+    def children(self) -> dict:
+        out = {}
+        for i, ((w, b), bn) in enumerate(zip(self.convs, self.conv_bns)):
+            out.update({f"conv{i}/w": w, f"conv{i}/b": b, f"conv{i}/bn": bn})
+        return {
+            **out,
+            "freq_proj": self.freq_proj, "input_proj": self.input_proj, "pos_embed": self.pos_embed,
+            "encoder": self.encoder, "down": self.down,
+            "codebook_t": self.codebook_t, "codebook_f": self.codebook_f,
+            "up_t": self.up_t, "up_f": self.up_f, "f_decoder": self.f_decoder, "t_decoder": self.t_decoder,
+            "f_head_amp": self.f_head_amp, "f_head_phase": self.f_head_phase, "t_head": self.t_head,
+        }
 
 
 # ---- batching ---------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import codebrain.cli as cli
-from codebrain.pretrain import DivergenceError
+from codebrain.pretrain import DivergenceError, load_checkpoint, save_checkpoint
 from codebrain.signal import load_record
 
 TINY_CFG = """
@@ -218,6 +218,16 @@ class TestConfigValidation:
         assert "analyze.tau" in capsys.readouterr().err
         assert not out.exists()  # no analysis file written
 
+    def test_dropout_out_of_range_rejected_before_writing(self, pipeline, tmp_path, capsys):
+        run, cfg = pipeline
+        text = cfg.read_text().replace("model.p_drop = 0.0", "model.p_drop = 1.5") + (
+            f"paths.data = {run / 'data'}\npaths.stage1 = {run / 'stage1' / 'final'}"
+        )
+        out = tmp_path / "x"
+        assert run_cli("train-ssm", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == 2
+        assert "[model]" in capsys.readouterr().err
+        assert not (out / "stage2").exists()
+
     def test_bad_threads_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CODEBRAIN_THREADS", "many")
         assert run_cli("bench", "--out", str(tmp_path / "x")) == 2
@@ -258,6 +268,16 @@ class TestPrerequisites:
         cfg2 = _write_cfg(tmp_path, text)
         assert run_cli(command, "--config", str(cfg2), "--out", str(tmp_path / "x")) == 3
         assert "does not hold" in capsys.readouterr().err
+
+    def test_stage1_buffer_of_wrong_shape_rejected(self, pipeline, tmp_path, capsys):
+        out, cfg = pipeline
+        ckpt = load_checkpoint(str(out / "stage1" / "final"))
+        ckpt.tensors["conv0/bn/running_mean"] = ckpt.tensors["conv0/bn/running_mean"][:1]
+        bad = tmp_path / "bad_stage1"
+        save_checkpoint(str(bad), ckpt.tensors, ckpt.config, ckpt.step)
+        text = cfg.read_text() + f"paths.data = {out / 'data'}\npaths.stage1 = {bad}\n"
+        assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 3
+        assert "conv0/bn/running_mean" in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):

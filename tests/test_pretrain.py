@@ -334,7 +334,7 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path))
 
 
-@pytest.mark.parametrize(
+each_model = pytest.mark.parametrize(
     "build",
     [
         lambda rng: TokenizerModel(tiny_config(), rng),
@@ -343,6 +343,49 @@ class TestCheckpoint:
     ],
     ids=["TokenizerModel", "EegssmModel", "ProbeHead"],
 )
+
+
+def _reachable_params(obj, seen=None) -> list[Tensor]:
+    """Every requires_grad Tensor reachable from `obj` through attributes,
+    lists and tuples, once each, in visiting order."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj] if obj.requires_grad else []
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [t for item in items for t in _reachable_params(item, seen)]
+
+
+@each_model
+class TestStateTree:
+    def test_every_reachable_param_named_once(self, build):
+        # a Tensor left out of children() would never be trained, clipped or saved
+        model = build(np.random.default_rng(0))
+        named = [id(t) for t in model.named_params().values()]
+        assert len(named) == len(set(named))
+        assert set(named) == {id(t) for t in _reachable_params(model)}
+
+    def test_state_dict_is_a_snapshot(self, build):
+        model = build(np.random.default_rng(0))
+        snapshot = model.state_dict()
+        before = {k: v.copy() for k, v in snapshot.items()}
+        params = model.named_params()
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        AdamW(params).step(1e-2)
+        for k, v in snapshot.items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+        assert all(not np.array_equal(p.data, before[k]) for k, p in params.items())
+
+
+@each_model
 class TestLoadStateDict:
     def test_missing_key_raises(self, build):
         model = build(np.random.default_rng(0))
@@ -362,6 +405,45 @@ class TestLoadStateDict:
             target.load_state_dict(state)
         for k, v in target.state_dict().items():
             np.testing.assert_array_equal(v, before[k])
+
+    @staticmethod
+    def _moved_buffers(build):
+        """A state whose buffers all differ from a fresh target's, the
+        target, and a copy of the target's state."""
+        model = build(np.random.default_rng(0))
+        buffers = model.named_buffers()
+        state = {k: v + 1 if k in buffers else v for k, v in model.state_dict().items()}
+        target = build(np.random.default_rng(1))
+        return state, target, {k: v.copy() for k, v in target.state_dict().items()}
+
+    def test_missing_buffer_raises_before_any_change(self, build):
+        state, target, before = self._moved_buffers(build)
+        if not target.named_buffers():
+            pytest.skip("no buffers")
+        for name in target.named_buffers():  # conv*/bn/running_*, codebook_*/usage
+            with pytest.raises(KeyError):
+                target.load_state_dict({k: v for k, v in state.items() if k != name})
+            for k, v in target.state_dict().items():
+                np.testing.assert_array_equal(v, before[k], err_msg=f"{k} after dropping {name}")
+
+    def test_wrong_buffer_shape_raises_before_any_change(self, build):
+        state, target, before = self._moved_buffers(build)
+        if not target.named_buffers():
+            pytest.skip("no buffers")
+        for name in target.named_buffers():
+            with pytest.raises(ValueError):  # (1,) would broadcast over every channel or code
+                target.load_state_dict({**state, name: state[name][:1]})
+            for k, v in target.state_dict().items():
+                np.testing.assert_array_equal(v, before[k], err_msg=f"{k} after shrinking {name}")
+
+    def test_loads_every_tensor_into_place(self, build):
+        state, target, _ = self._moved_buffers(build)
+        live = target.named_buffers()
+        target.load_state_dict(state)
+        for k, v in target.state_dict().items():
+            np.testing.assert_array_equal(v, state[k], err_msg=k)
+            assert v.dtype == state[k].dtype
+        assert all(v is live[k] for k, v in target.named_buffers().items())
 
 
 def stage1_setup(seed=0, n_records=6):

@@ -510,6 +510,11 @@ class TestEegssmModel:
         with pytest.raises(ValueError):
             EegssmConfig(window=0)
 
+    @pytest.mark.parametrize("p_drop", [1.5, 1.0, -0.1])
+    def test_dropout_out_of_range_raises(self, p_drop):
+        with pytest.raises(ValueError, match="dropout"):
+            EegssmConfig(p_drop=p_drop)
+
 
 class TestBench:
     def test_rows_and_param_counts(self):
