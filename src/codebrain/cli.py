@@ -56,6 +56,7 @@ from .pretrain import (
     DivergenceError,
     TrainConfig,
     load_checkpoint,
+    read_history_csv,
     train_eegssm,
     train_tokenizer,
 )
@@ -482,12 +483,18 @@ def _svg_lines(path: Path, series: dict[str, tuple[np.ndarray, np.ndarray]], tit
     path.write_text("\n".join(parts) + "\n")
 
 
-def _read_history(path: Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"empty history file {path}")
-    return {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+# the SVG plots `analyze` draws from each stage's history: file, columns,
+# title and y-axis label
+_HISTORY_PLOTS = {
+    "stage1": [
+        ("loss_stage1.svg", ("total", "freq_recon", "temporal_recon", "contrastive", "codebook"),
+         "stage-1 loss components", "loss"),
+        ("unused_codes.svg", ("unused_t", "unused_f"), "unused codes per codebook", "unused"),
+    ],
+    "stage2": [
+        ("loss_stage2.svg", ("loss", "acc_t", "acc_f"), "stage-2 masked-prediction loss and accuracy", "value"),
+    ],
+}
 
 
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
@@ -518,30 +525,16 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         w.writerow(["frequency", report.used_f])
         w.writerow(["dual", report.distinct_pairs])
 
-    stage1_hist = run.path("stage1", "stage1/final").parent / "history_stage1.csv"
-    if stage1_hist.is_file():
-        h = _read_history(stage1_hist)
-        _svg_lines(
-            out_dir / "loss_stage1.svg",
-            {k: (h["step"], h[k]) for k in ("total", "freq_recon", "temporal_recon", "contrastive", "codebook")},
-            "stage-1 loss components",
-            "loss",
-        )
-        _svg_lines(
-            out_dir / "unused_codes.svg",
-            {k: (h["step"], h[k]) for k in ("unused_t", "unused_f")},
-            "unused codes per codebook",
-            "unused",
-        )
-    stage2_hist = run.path("stage2", "stage2/final").parent / "history_stage2.csv"
-    if stage2_hist.is_file():
-        h = _read_history(stage2_hist)
-        _svg_lines(
-            out_dir / "loss_stage2.svg",
-            {"loss": (h["step"], h["loss"]), "acc_t": (h["step"], h["acc_t"]), "acc_f": (h["step"], h["acc_f"])},
-            "stage-2 masked-prediction loss and accuracy",
-            "value",
-        )
+    for stage, plots in _HISTORY_PLOTS.items():
+        path = run.path(stage, f"{stage}/final").parent / f"history_{stage}.csv"
+        if not path.is_file():
+            continue
+        rows = read_history_csv(path)
+        if not rows:
+            raise ConfigError(f"empty history file {path}")
+        h = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+        for name, keys, title, ylabel in plots:
+            _svg_lines(out_dir / name, {k: (h["step"], h[k]) for k in keys}, title, ylabel)
     print(f"analysis written to {out_dir}")
     return 0
 

@@ -35,7 +35,9 @@ class Module:
     arrays of running state that are saved but not trained) and child
     Modules. It is read at every call, so a layer may replace its arrays
     between calls. The order of `named_params()` is the tree's order; the
-    optimizer and gradient clipping iterate in it.
+    optimizer and gradient clipping iterate in it. The optimizer's saved
+    state is a tree too: `pretrain.AdamW` names its step count and moments
+    as buffers, so they load through the same checked `load_state_dict`.
     """
 
     def children(self) -> dict[str, Tensor | np.ndarray | Module]:
@@ -71,7 +73,8 @@ class Module:
 
         Every name is checked before anything changes: a missing name raises
         KeyError and a shape that differs raises ValueError. Extra names in
-        `state` (optimizer moments) are ignored. Buffers are written in place.
+        `state` (a checkpoint holds the model's and the optimizer's) are
+        ignored. Buffers are written in place.
         """
         params, buffers = self.named_params(), self.named_buffers()
         current = {**{k: v.data for k, v in params.items()}, **buffers}
@@ -116,8 +119,10 @@ class LayerNorm(Module):
 class BatchNorm1d(Module):
     """Batch normalization over (B, C, L): stats per channel.
 
-    Training mode normalizes by batch statistics and updates the running
-    estimates; eval mode uses the stored running estimates.
+    Training mode normalizes by the batch statistics through the one-node
+    `layer_norm`, reduced over the batch and sequence axes, and updates the
+    running estimates from the same float32 mean and biased variance,
+    computed off the tape; eval mode uses the stored running estimates.
     """
 
     MOMENTUM = 0.1
@@ -132,21 +137,20 @@ class BatchNorm1d(Module):
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if x.ndim != 3:
             raise ValueError(f"BatchNorm1d expects (B, C, L), got {x.shape}")
-        if train:
-            mu = x.mean(axis=(0, 2), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2), keepdims=True)
-            m = self.MOMENTUM
-            self.running_mean = ((1 - m) * self.running_mean + m * mu.data.reshape(-1)).astype(np.float32)
-            self.running_var = ((1 - m) * self.running_var + m * var.data.reshape(-1)).astype(np.float32)
-            xn = centered / (var + self.EPS) ** 0.5
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1))
-            xn = (x - mu) / (var + self.EPS) ** 0.5
         g = self.gamma.reshape(1, -1, 1)
         b = self.beta.reshape(1, -1, 1)
-        return xn * g + b
+        if train:
+            xd = x.data
+            mu = xd.mean(axis=(0, 2), keepdims=True, dtype=np.float64).astype(xd.dtype)
+            c = xd - mu
+            var = (c * c).mean(axis=(0, 2), dtype=np.float64).astype(xd.dtype)
+            m = self.MOMENTUM
+            self.running_mean = ((1 - m) * self.running_mean + m * mu.reshape(-1)).astype(np.float32)
+            self.running_var = ((1 - m) * self.running_var + m * var).astype(np.float32)
+            return layer_norm(x, g, b, self.EPS, axis=(0, 2))
+        mu = Tensor(self.running_mean.reshape(1, -1, 1))
+        var = Tensor(self.running_var.reshape(1, -1, 1))
+        return (x - mu) / (var + self.EPS) ** 0.5 * g + b
 
     def children(self) -> dict:
         return {

@@ -617,12 +617,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (x, w, b), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale by
-    `gamma` and shift by `beta`, as one tape node.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-1) -> Tensor:
+    """Normalize `x` to zero mean and unit variance over `axis` (an int or a
+    tuple; the last axis by default), then scale by `gamma` and shift by
+    `beta`, as one tape node. `LayerNorm` reduces over the features;
+    `BatchNorm1d` passes `axis=(0, 2)` and (1, C, 1) views of its parameters,
+    so it normalizes each channel over the batch and the sequence.
 
-    The chain is `c = x - x.mean(-1)`, then
-    `c / ((c * c).mean(-1) + eps) ** 0.5 * gamma + beta`. Its mean adjoints
+    The chain is `c = x - x.mean(axis)`, then
+    `c / ((c * c).mean(axis) + eps) ** 0.5 * gamma + beta`. Its mean adjoints
     divide by an int64 count and so come out float64. The parents are
     (x, x, gamma, beta): `x` gets two gradients, through the centring
     subtraction and then through the mean, and `backward` adds them in that
@@ -630,12 +633,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """
     xd, gd, bd = x.data, gamma.data, beta.data
     dt = xd.dtype
-    mu = xd.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    mu = xd.mean(axis=axis, keepdims=True, dtype=np.float64).astype(dt)
     c = xd - mu
-    ve = (c * c).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt) + _as_array(eps)
+    ve = (c * c).mean(axis=axis, keepdims=True, dtype=np.float64).astype(dt) + _as_array(eps)
     r = ve**0.5
     out = c / r * gd + bd
-    count = np.prod([xd.shape[-1]])
+    count = np.prod([xd.shape[a] for a in _axes(axis, xd.ndim)])
 
     def vjp(g):
         gc = gmu = ggamma = gbeta = None
@@ -644,16 +647,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if x.requires_grad or gamma.requires_grad:
             gh = np.asarray(g, dtype=np.result_type(dt, gd))
             if gamma.requires_grad:
-                ggamma = _unbroadcast(gh * (c / r), gd.shape)  # c / r recomputed, not kept
+                # recomputed, not kept; named so that numpy cannot reuse its
+                # buffer for the product, which would change the product's
+                # memory order, and so the order of the sum, from the chain's
+                xn = c / r
+                ggamma = _unbroadcast(gh * xn, gd.shape)
             if x.requires_grad:
                 gxn = np.asarray(gh * gd, dtype=dt)
                 gr = _unbroadcast(-gxn * c / (r * r), r.shape)
                 gve = gr * 0.5 * ve**-0.5
-                gsq = np.asarray(_spread(gve, c.shape, -1, True) / count, dtype=dt)
+                gsq = np.asarray(_spread(gve, c.shape, axis, True) / count, dtype=dt)
                 t = gsq * c  # both factors of c * c
                 gc = gxn / r + t
                 gc = gc + t
-                gmu = _spread(_unbroadcast(-gc, mu.shape), xd.shape, -1, True) / count
+                gmu = _spread(_unbroadcast(-gc, mu.shape), xd.shape, axis, True) / count
         return (gc, gmu, ggamma, gbeta)
 
     return _from_op(out, (x, x, gamma, beta), vjp)
@@ -725,15 +732,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _from_op(out, (logits,), vjp)
 
 
-def _conv_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    b, c, lp = xp.shape
-    lout = (lp - k) // stride + 1
-    s0, s1, s2 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (b, c, lout, k), (s0, s1, s2 * stride, s2), writeable=False
-    )
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of (B, Cin, L) with filters (Cout, Cin, k)."""
     xd, wd = x.data, w.data
@@ -745,7 +743,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad))) if pad else xd
     if xp.shape[2] < k:
         raise ValueError("input shorter than filter after padding")
-    win = _conv_windows(xp, k, stride)
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
     out = np.einsum("bclk,ock->bol", win, wd, optimize=True)
     lout = out.shape[2]
     parents: tuple[Tensor, ...]

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import nn
 from .numerics import Tensor, backward, cross_entropy
 from .ssm import EegssmModel, EegssmOutput
 from .tokenizer import TokenizerModel, make_stage1_batch, stage1_losses
@@ -33,6 +34,7 @@ __all__ = [
     "cosine_lr",
     "load_checkpoint",
     "masked_token_loss",
+    "read_history_csv",
     "sample_mask",
     "save_checkpoint",
     "train_eegssm",
@@ -145,9 +147,13 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-class AdamW:
+class AdamW(nn.Module):
     """Adam moments with decoupled weight decay (decay multiplies the weight
-    directly, scaled by lr, outside the adaptive term)."""
+    directly, scaled by lr, outside the adaptive term).
+
+    Its state is a `Module` tree of buffers: the step count `adam/t` and the
+    moments `adam/m/<name>` and `adam/v/<name>`, so it saves with the model
+    and loads through the same checked `load_state_dict`."""
 
     def __init__(
         self,
@@ -160,9 +166,16 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.t = 0
+        self.t = np.zeros(1, dtype=np.int64)
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def children(self) -> dict:
+        return {
+            "adam/t": self.t,
+            **{f"adam/m/{k}": m for k, m in self.m.items()},
+            **{f"adam/v/{k}": v for k, v in self.v.items()},
+        }
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -170,9 +183,10 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
+        t = int(self.t[0])
         b1, b2 = self.betas
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
@@ -187,19 +201,6 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = (p.data - lr * update).astype(p.data.dtype)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"adam/t": np.array([self.t], dtype=np.int64)}
-        for k in self.params:
-            out[f"adam/m/{k}"] = self.m[k]
-            out[f"adam/v/{k}"] = self.v[k]
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self.t = int(state["adam/t"][0])
-        for k in self.params:
-            self.m[k] = state[f"adam/m/{k}"].copy()
-            self.v[k] = state[f"adam/v/{k}"].copy()
 
 
 def _divergence(step: int, loss_value: float, norm: float | None, params: dict[str, Tensor], last_finite) -> DivergenceError:
@@ -346,12 +347,12 @@ def write_history_csv(rows: list[dict], path) -> None:
         w.writerows(rows)
 
 
-def _read_history(path: str, before: int) -> list[dict]:
-    """Rows of an existing history CSV with step < `before` ([] if none)."""
+def read_history_csv(path) -> list[dict]:
+    """The rows of a history CSV, every value a string ([] if no file)."""
     if not os.path.exists(path):
         return []
     with open(path, newline="") as fh:
-        return [row for row in csv.DictReader(fh) if int(row["step"]) < before]
+        return list(csv.DictReader(fh))
 
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
@@ -384,10 +385,12 @@ def _train(
     clipping, the divergence checkpoint, periodic and final checkpoints and
     `history_stage{stage}.csv`, written with every checkpoint. A resumed run
     keeps that file's rows from before its checkpoint, so its history reads
-    as that of an uninterrupted run. On a non-finite loss or gradient norm
-    the step is NOT applied; the last good state is checkpointed to
-    `out_dir`/diverged (when out_dir is set) and DivergenceError raised,
-    naming the step, the first non-finite gradient and the last finite loss.
+    as that of an uninterrupted run; a checkpoint that lacks or mis-shapes a
+    model or optimizer tensor raises CheckpointError before `model` changes.
+    On a non-finite loss or gradient norm the step is NOT applied; the last
+    good state is checkpointed to `out_dir`/diverged (when out_dir is set)
+    and DivergenceError raised, naming the step, the first non-finite
+    gradient and the last finite loss.
     """
     if not data:
         raise ValueError("empty dataset")
@@ -396,18 +399,22 @@ def _train(
     full_config = {"train": asdict(config), "model": asdict(model.config)}
 
     def save(step: int, name: str, state: dict[str, np.ndarray]) -> None:
-        save_checkpoint(os.path.join(out_dir, name), {**state, **opt.state_dict()}, full_config, step)
+        save_checkpoint(os.path.join(out_dir, name), {**state, **opt.named_buffers()}, full_config, step)
 
     start_step = 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         _verify_resume(ckpt, full_config)
-        model.load_state_dict(ckpt.tensors)
-        opt.load_state_dict(ckpt.tensors)
+        try:  # the optimizer is ours: a bad checkpoint raises before the model changes
+            opt.load_state_dict(ckpt.tensors)
+            model.load_state_dict(ckpt.tensors)
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"cannot resume from {resume_from}: {exc}") from None
         start_step = ckpt.step
 
     history_path = os.path.join(out_dir, f"history_stage{stage}.csv") if out_dir is not None else None
-    earlier = _read_history(history_path, start_step) if resume_from is not None and history_path else []
+    rows = read_history_csv(history_path) if resume_from is not None and history_path else []
+    earlier = [row for row in rows if int(row["step"]) < start_step]
     history: list[dict] = []
     last_finite = None
     for step in range(start_step, config.steps):

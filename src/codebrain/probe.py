@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .numerics import Tensor, backward, cross_entropy, dropout, no_grad
+from .numerics import Tensor, backward, cross_entropy, dropout, no_grad, softmax
 from .pretrain import AdamW, cosine_lr
 from .signal import PatchGrid
 from .ssm import EegssmModel
@@ -306,17 +306,11 @@ def extract_features(model: EegssmModel, grids: list[PatchGrid]) -> np.ndarray:
 # ---- probe training -------------------------------------------------------------
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _evaluate(head: ProbeHead, feats: np.ndarray, labels: np.ndarray, task: str, n_classes: int) -> MetricsReport:
     with no_grad():
         logits = head.forward(Tensor(feats)).data
     pred = logits.argmax(axis=-1)
-    scores = _softmax_rows(logits)[:, 1] if task == "binary" else None
+    scores = softmax(Tensor(logits)).data[:, 1] if task == "binary" else None
     return compute_metrics(pred, labels, scores=scores, task=task, n_classes=n_classes)
 
 

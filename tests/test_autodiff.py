@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from codebrain import ssm
-from codebrain.nn import SelfAttention, TransformerLayer
+from codebrain.nn import BatchNorm1d, SelfAttention, TransformerLayer
 from codebrain.numerics import (
     MissingGradientError,
     Tensor,
@@ -371,6 +371,16 @@ def _layer_norm_chain(x, gamma, beta, eps=1e-5):
     return centered / (var + eps) ** 0.5 * gamma + beta
 
 
+def _batch_norm_chain(x, gamma, beta, eps=1e-5):
+    """The 11-node graph `BatchNorm1d` trained through before it used
+    `layer_norm`, with the batch mean and biased variance it kept."""
+    mu = x.mean(axis=(0, 2), keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=(0, 2), keepdims=True)
+    out = centered / (var + eps) ** 0.5 * gamma.reshape(1, -1, 1) + beta.reshape(1, -1, 1)
+    return out, mu.data.reshape(-1), var.data.reshape(-1)
+
+
 def _rms_norm_chain(x, scale, eps=1e-8):
     """The composed graph that `rms_norm` replaces."""
     ms = (x * x).mean(axis=-1, keepdims=True)
@@ -416,6 +426,42 @@ class TestFusedLayers:
         for got, want in zip(*results):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_batch_norm_bit_equal_to_composed_chain(self, dtype):
+        # a tokenizer conv-stack shape, fed by conv1d as there: the conv's
+        # output is not C-ordered, and big enough for numpy to reuse
+        # temporaries, so a product that takes a different memory order
+        # sums in a different order
+        rng = np.random.default_rng(47)
+        arrays = [rng.normal(size=(1024, 1, 200)), rng.normal(size=(8, 1, 15)), rng.normal(size=8)]
+        gamma0, beta0 = rng.uniform(0.5, 1.5, size=8), rng.normal(size=8)
+        probe = Tensor(rng.normal(size=(1024, 8, 25)), dtype=dtype)
+        results = []
+        for use_layer in (True, False):
+            patches, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            x = conv1d(patches, w, b, stride=8, pad=7)
+            bn = BatchNorm1d(8)
+            bn.gamma, bn.beta = Tensor(gamma0, requires_grad=True, dtype=dtype), Tensor(beta0, requires_grad=True, dtype=dtype)
+            if use_layer:
+                out = bn(x, train=True)
+                stats = [bn.running_mean, bn.running_var]
+            else:
+                out, mu, var = _batch_norm_chain(x, bn.gamma, bn.beta, BatchNorm1d.EPS)
+                m = BatchNorm1d.MOMENTUM
+                stats = [((1 - m) * run + m * new).astype(np.float32)
+                         for run, new in ((bn.running_mean, mu), (bn.running_var, var))]
+            backward((out.relu() * probe).sum())
+            results.append([out.data, *stats, x.grad, bn.gamma.grad, bn.beta.grad, patches.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_batch_norm_adds_three_tape_nodes(self):
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.normal(size=(4, 3, 10)).astype(np.float32), requires_grad=True)
+        tape = _tape(BatchNorm1d(3)(x, train=True))
+        assert sum(t._vjp is not None for t in tape) == 3  # two reshapes and the norm
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
     def test_linear_gradient(self, which):

@@ -8,6 +8,7 @@ cases (bad config, missing prerequisites) get fresh directories.
 import hashlib
 import importlib.metadata
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -378,6 +379,16 @@ class TestAnalyzeArtifacts:
             text = (out / "analysis" / name).read_text()
             assert text.startswith("<svg")
             assert "<polyline" in text
+
+    @pytest.mark.parametrize("content", ["", "step,lr,total\n"], ids=["no_bytes", "header_only"])
+    def test_empty_history_rejected(self, pipeline, tmp_path, capsys, content):
+        run, cfg = pipeline
+        stage1 = tmp_path / "stage1"
+        shutil.copytree(run / "stage1" / "final", stage1 / "final")
+        (stage1 / "history_stage1.csv").write_text(content)
+        text = cfg.read_text() + f"paths.data = {run / 'data'}\npaths.stage1 = {stage1 / 'final'}\n"
+        assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 2
+        assert "empty history file" in capsys.readouterr().err
 
 
 class TestBench:

@@ -334,14 +334,29 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path))
 
 
-each_model = pytest.mark.parametrize(
-    "build",
-    [
-        lambda rng: TokenizerModel(tiny_config(), rng),
-        lambda rng: EegssmModel(EegssmConfig(patch_len=16, features=8, blocks=1, kernel_len=16, kernel_base=4), rng),
-        lambda rng: ProbeHead(2, 4, 3, ProbeConfig(hidden=8, compress=6), rng),
-    ],
-    ids=["TokenizerModel", "EegssmModel", "ProbeHead"],
+MODELS = {
+    "TokenizerModel": lambda rng: TokenizerModel(tiny_config(), rng),
+    "EegssmModel": lambda rng: EegssmModel(EegssmConfig(patch_len=16, features=8, blocks=1, kernel_len=16, kernel_base=4), rng),
+    "ProbeHead": lambda rng: ProbeHead(2, 4, 3, ProbeConfig(hidden=8, compress=6), rng),
+}
+
+
+def _stepped_adamw(rng) -> AdamW:
+    """An optimizer over a tiny model, stepped once so its moments differ
+    from one `rng` to the next."""
+    params = MODELS["ProbeHead"](rng).named_params()
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    opt = AdamW(params)
+    opt.step(1e-2)
+    return opt
+
+
+each_model = pytest.mark.parametrize("build", list(MODELS.values()), ids=list(MODELS))
+# every Module whose state is saved: the models, and the optimizer, whose
+# state is buffers only
+each_state = pytest.mark.parametrize(
+    "build", [*MODELS.values(), _stepped_adamw], ids=[*MODELS, "AdamW"]
 )
 
 
@@ -385,10 +400,12 @@ class TestStateTree:
         assert all(not np.array_equal(p.data, before[k]) for k, p in params.items())
 
 
-@each_model
+@each_state
 class TestLoadStateDict:
     def test_missing_key_raises(self, build):
         model = build(np.random.default_rng(0))
+        if not model.named_params():
+            pytest.skip("no parameters")
         state = dict(model.state_dict())
         del state[next(iter(model.named_params()))]
         with pytest.raises(KeyError):
@@ -396,6 +413,8 @@ class TestLoadStateDict:
 
     def test_wrong_shape_raises(self, build):
         model = build(np.random.default_rng(0))
+        if not model.named_params():
+            pytest.skip("no parameters")
         state = dict(model.state_dict())
         name = list(model.named_params())[-1]  # checked last: nothing may load
         state[name] = np.zeros(state[name].shape + (2,), dtype=np.float32)
@@ -430,11 +449,16 @@ class TestLoadStateDict:
         state, target, before = self._moved_buffers(build)
         if not target.named_buffers():
             pytest.skip("no buffers")
-        for name in target.named_buffers():
-            with pytest.raises(ValueError):  # (1,) would broadcast over every channel or code
-                target.load_state_dict({**state, name: state[name][:1]})
-            for k, v in target.state_dict().items():
-                np.testing.assert_array_equal(v, before[k], err_msg=f"{k} after shrinking {name}")
+        for name, buf in target.named_buffers().items():
+            # (1,) would broadcast over every channel or code, and (2,) + shape
+            # would turn a moment's parameter into that shape at the next step
+            for bad in (state[name][:1], np.stack([state[name]] * 2)):
+                if bad.shape == buf.shape:  # adam/t is (1,) already
+                    continue
+                with pytest.raises(ValueError):
+                    target.load_state_dict({**state, name: bad})
+                for k, v in target.state_dict().items():
+                    np.testing.assert_array_equal(v, before[k], err_msg=f"{k} after reshaping {name} to {bad.shape}")
 
     def test_loads_every_tensor_into_place(self, build):
         state, target, _ = self._moved_buffers(build)
@@ -527,6 +551,28 @@ class TestTrainTokenizer:
         assert h_rest == h_full[5:]
         for k, v in m3.state_dict().items():
             np.testing.assert_array_equal(v, m1.state_dict()[k])
+
+    @pytest.mark.parametrize("fault", ["missing_moment", "broadcast_moment", "model_shape"])
+    def test_bad_resume_state_raises_before_model_changes(self, tmp_path, fault):
+        model, data = stage1_setup()
+        out = str(tmp_path / "run")
+        train_tokenizer(model, data, self.config(steps=4), out_dir=out, checkpoint_every=2)
+        ckpt = load_checkpoint(os.path.join(out, "step_000002"))
+        tensors = dict(ckpt.tensors)
+        name = "t_head/w" if fault == "model_shape" else "adam/v/t_head/w"
+        if fault == "missing_moment":
+            del tensors[name]
+        elif fault == "broadcast_moment":  # would load, and reshape t_head/w at the next step
+            tensors[name] = np.stack([tensors[name]] * 2)
+        else:
+            tensors[name] = tensors[name][:1]
+        save_checkpoint(str(tmp_path / "bad"), tensors, ckpt.config, ckpt.step)
+        target, _ = stage1_setup()
+        before = {k: v.copy() for k, v in target.state_dict().items()}
+        with pytest.raises(CheckpointError, match=name):
+            train_tokenizer(target, data, self.config(steps=4), resume_from=str(tmp_path / "bad"))
+        for k, v in target.state_dict().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
 
     def test_config_mismatch_refused(self, tmp_path):
         model, data = stage1_setup()
