@@ -20,12 +20,15 @@ single tape nodes rather than compositions: they dominate runtime and
 memory. Each fused op evaluates, forward and backward, the array
 expressions of the primitive chain it replaces, in the chain's order and
 with the dtype cast each inner node's first gradient gets, so it matches
-the chain bit for bit.
+the chain bit for bit. Dense attention whose weights pass a fixed budget
+keeps only each softmax row's max and sum, and its adjoint recomputes the
+weights chunk by chunk with the same expressions.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -471,36 +474,89 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     return _from_op(s, (t,), vjp)
 
 
+# Bytes of attention weights formed at once when they do not all fit: one
+# float32 (S, S) slice at S = 1024.
+_ATTENTION_CHUNK_BYTES = 4 << 20
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(q @ kᵀ * scale) @ v over (..., S, d) heads, as one tape node.
 
     Forward and adjoint evaluate the same array expressions, in the same
     order, as the chain matmul, scale, softmax, matmul, so outputs and
-    gradients match it bit for bit. Only the attention weights are kept for
-    the backward pass; the scores and their gradients never reach the tape.
+    gradients match it bit for bit. The scores and their gradients never
+    reach the tape.
+
+    When all (..., S, S) weights fit in `_ATTENTION_CHUNK_BYTES`, they are
+    formed at once and kept for the adjoint. Otherwise they are formed in
+    chunks of as many whole (S, S) slices as fit (at least one), one batch
+    index and a run of heads at a time, and only each row's max and sum are
+    kept: the adjoint recomputes a chunk's weights from them with the same
+    expressions and frees them before the next chunk. That moves no bits.
+    Each chunk's matmul is the per-slice BLAS call the batched matmul
+    makes, every softmax reduction still runs over a whole row, and the key
+    and value gradients still sum over every query inside one slice's
+    matmul.
     """
     qd, kd, vd = q.data, k.data, v.data
     sc = _as_array(scale)  # the 0-d float32 array the chain multiplies by
-    p = (qd @ kd.swapaxes(-1, -2)) * sc
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = p @ vd
+    lead, sq, sk = qd.shape[:-2], qd.shape[-2], kd.shape[-2]
+    pt = np.result_type(qd, kd)  # the weights' dtype
+    slice_bytes = sq * sk * pt.itemsize
+    keep = math.prod(lead) * slice_bytes <= _ATTENTION_CHUNK_BYTES
+    if keep or not lead:
+        chunks = [...]
+    else:
+        run = max(1, _ATTENTION_CHUNK_BYTES // slice_bytes)
+        chunks = [i + (slice(h, h + run),) for i in np.ndindex(*lead[:-1]) for h in range(0, lead[-1], run)]
+
+    def weights(c, stats=None):
+        # the chain's scale and softmax; `stats` are the row max and sum
+        p = qd[c] @ kd[c].swapaxes(-1, -2)
+        p *= sc
+        mx = p.max(axis=-1, keepdims=True) if stats is None else stats[0]
+        p -= mx
+        np.exp(p, out=p)
+        total = p.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+        p /= total
+        return p, (mx, total)
+
+    # each chunk's results go straight into arrays laid out as the chain's
+    out = np.empty(lead + (sq, vd.shape[-1]), np.result_type(pt, vd))
+
+    def forward(c):
+        p, stats = weights(c)
+        np.matmul(p, vd[c], out=out[c])
+        return p if keep else stats
+
+    saved = [forward(c) for c in chunks]
 
     def vjp(g):
-        gq = gk = gv = None
+        gq = gkt = gv = None  # gkt: the key gradient as formed, (..., d, S)
+        gs_type = np.result_type(g, vd)
         if v.requires_grad:
-            gv = p.swapaxes(-1, -2) @ g
-        if q.requires_grad or k.requires_grad:
-            gs = g @ vd.swapaxes(-1, -2)  # softmax and scale adjoints, in place
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= sc
-            if q.requires_grad:
-                gq = gs @ kd
-            if k.requires_grad:
-                gk = (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return (gq, gk, gv)
+            gv = np.empty(vd.shape, np.result_type(pt, g))
+        if q.requires_grad:
+            gq = np.empty(qd.shape, np.result_type(gs_type, kd))
+        if k.requires_grad:
+            gkt = np.empty(kd.swapaxes(-1, -2).shape, np.result_type(qd, gs_type))
+
+        def adjoint(c, p):
+            if gv is not None:
+                np.matmul(p.swapaxes(-1, -2), g[c], out=gv[c])
+            if gq is not None or gkt is not None:
+                gs = g[c] @ vd[c].swapaxes(-1, -2)  # softmax and scale adjoints, in place
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= sc
+                if gq is not None:
+                    np.matmul(gs, kd[c], out=gq[c])
+                if gkt is not None:
+                    np.matmul(qd[c].swapaxes(-1, -2), gs, out=gkt[c])
+
+        for c, kept in zip(chunks, saved):
+            adjoint(c, kept if keep else weights(c, kept)[0])
+        return (gq, None if gkt is None else gkt.swapaxes(-1, -2), gv)
 
     return _from_op(out, (q, k, v), vjp)
 

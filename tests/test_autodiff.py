@@ -1,5 +1,6 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
+import tracemalloc
 import weakref
 import zlib
 
@@ -30,7 +31,7 @@ from codebrain.numerics import (
     take_rows,
     window_attention,
 )
-from codebrain.numerics.tensor import _from_op
+from codebrain.numerics.tensor import _ATTENTION_CHUNK_BYTES, _from_op
 from codebrain.pretrain import clip_grad_norm
 
 TOL = 1e-4  # primitive-level relative tolerance vs central differences
@@ -200,25 +201,66 @@ def _attention_chain(q, k, v, scale):
 
 
 class TestAttention:
-    @pytest.mark.parametrize("split_heads", [False, True], ids=["leaves", "split_heads"])
-    def test_bit_equal_to_composed_chain(self, split_heads):
+    @pytest.mark.parametrize(
+        "dims,split_heads,dtype",
+        [
+            pytest.param((2, 3, 7, 4), False, np.float32, id="leaves"),
+            pytest.param((2, 3, 7, 4), True, np.float32, id="split_heads"),
+            # weights past the chunk budget, formed in chunks of 4 + 2 heads
+            # (float32) or of 2 heads (float64)
+            pytest.param((2, 6, 512, 8), True, np.float32, id="chunked-f32"),
+            pytest.param((2, 6, 512, 8), True, np.float64, id="chunked-f64"),
+        ],
+    )
+    def test_bit_equal_to_composed_chain(self, dims, split_heads, dtype):
         # split_heads feeds (B, H, S, hd) views of (B, S, H*hd) leaves, as
         # SelfAttention does
         rng = np.random.default_rng(41)
-        b, h, s, hd = 2, 3, 7, 4
+        b, h, s, hd = dims
+        chunked = b * h * s * s * np.dtype(dtype).itemsize > _ATTENTION_CHUNK_BYTES
+        assert chunked == (s == 512)
         shape = (b, s, h * hd) if split_heads else (b, h, s, hd)
-        arrays = [rng.normal(size=shape).astype(np.float32) for _ in range(3)]
-        probe = Tensor(rng.normal(size=(b, h, s, hd)).astype(np.float32))
+        arrays = [rng.normal(size=shape) for _ in range(3)]
+        probe = Tensor(rng.normal(size=(b, h, s, hd)), dtype=dtype)
         results = []
         for op in (attention, _attention_chain):
-            leaves = [Tensor(x, requires_grad=True) for x in arrays]
+            leaves = [Tensor(x, requires_grad=True, dtype=dtype) for x in arrays]
             heads = [t.reshape(b, s, h, hd).transpose(0, 2, 1, 3) for t in leaves] if split_heads else leaves
             out = op(*heads, 1.0 / np.sqrt(hd))
             backward((out * probe).sum())
             results.append([out.data] + [t.grad for t in leaves])
         for got, want in zip(*results):
-            assert got.dtype == want.dtype == np.float32
+            assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+    @pytest.mark.parametrize("s", [7, 512], ids=["kept", "chunked"])
+    def test_one_operand_gradient(self, s, which):
+        # the adjoint forms only the gradient asked for, equal to the one a
+        # run with all three gradients forms
+        rng = np.random.default_rng(44)
+        arrays = [rng.normal(size=(2, 6, s, 8)).astype(np.float32) for _ in range(3)]
+        g = rng.normal(size=(2, 6, s, 8)).astype(np.float32)
+        full = attention(*(Tensor(x, requires_grad=True) for x in arrays), 0.5)._vjp(g)
+        one = attention(*(Tensor(x, requires_grad=i == which) for i, x in enumerate(arrays)), 0.5)._vjp(g)
+        assert [i for i, grad in enumerate(one) if grad is not None] == [which]
+        np.testing.assert_array_equal(one[which], full[which])
+
+    def test_long_sequence_keeps_no_weights(self):
+        # past the chunk budget only per-row statistics stay on the tape,
+        # less than one (S, S) float32 slice; the (1, 2, S, S) weights a
+        # node that keeps them holds are 8 MiB
+        rng = np.random.default_rng(49)
+        qkv = [Tensor(rng.normal(size=(1, 2, 1024, 16)).astype(np.float32), requires_grad=True) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention(*qkv, 0.25)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < 1024 * 1024 * 4
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
     def test_gradient(self, which):
@@ -387,11 +429,21 @@ def _rms_norm_chain(x, scale, eps=1e-8):
     return x * scale / (ms + eps) ** 0.5
 
 
-# op, the chain it replaces, and its parameter shapes for a last axis of 6
+# op, the chain it replaces, and the rank of each parameter over the last axis
 FUSED_LAYERS = {
-    "linear": (linear, _linear_chain, [(6, 6), (6,)]),
-    "layer_norm": (layer_norm, _layer_norm_chain, [(6,), (6,)]),
-    "rms_norm": (rms_norm, _rms_norm_chain, [(6,)]),
+    "linear": (linear, _linear_chain, [2, 1]),
+    "layer_norm": (layer_norm, _layer_norm_chain, [1, 1]),
+    "rms_norm": (rms_norm, _rms_norm_chain, [1]),
+}
+
+# the shape an input is drawn in and the axes it is viewed through; "model"
+# is a non-C-ordered view of model size, above numpy's 256 KiB
+# temporary-elision size, where a product that reuses a temporary takes
+# another memory order and so sums in another order
+INPUT_LAYOUTS = {
+    "2d": ((5, 6), (0, 1)),
+    "3d": ((2, 4, 6), (0, 1, 2)),
+    "model": ((1024, 2, 64), (1, 0, 2)),
 }
 
 
@@ -399,15 +451,18 @@ class TestFusedLayers:
     @pytest.mark.parametrize("downstream", ["plain", "transposed", "float64_grad"])
     @pytest.mark.parametrize("residual", [False, True], ids=["alone", "residual"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("shape", [(5, 6), (2, 4, 6)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("layout", list(INPUT_LAYOUTS))
     @pytest.mark.parametrize("name", list(FUSED_LAYERS))
-    def test_bit_equal_to_composed_chain(self, name, shape, dtype, residual, downstream):
+    def test_bit_equal_to_composed_chain(self, name, layout, dtype, residual, downstream):
         # `residual` feeds x to x + op(x), so x's gradient parts must be added
         # in the chain's order; "transposed" hands the node a non-contiguous
         # gradient, and "float64_grad" a float64 one, through a mean's adjoint
-        op, chain, param_shapes = FUSED_LAYERS[name]
+        op, chain, param_ranks = FUSED_LAYERS[name]
+        drawn, axes = INPUT_LAYOUTS[layout]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        arrays = [rng.normal(size=shape)] + [rng.normal(size=p) for p in param_shapes]
+        x0 = rng.normal(size=drawn).transpose(axes)
+        shape, d = x0.shape, x0.shape[-1]
+        arrays = [x0] + [rng.normal(size=(d,) * r) for r in param_ranks]
         probe = rng.normal(size=shape[::-1] if downstream == "transposed" else shape)
         results = []
         for fn in (op, chain):
