@@ -10,7 +10,7 @@ import numpy as np
 
 from codebrain.pretrain import TrainConfig, train_tokenizer
 from codebrain.signal import Band, ClassSpec, GeneratorSpec, patch, preprocess, synth_generate
-from codebrain.tokenizer import TokenizerConfig, TokenizerModel, code_usage_report, tokenize
+from codebrain.tokenizer import TokenizerConfig, TokenizerModel, tokenize
 
 spec = GeneratorSpec(
     classes=(
@@ -42,6 +42,5 @@ tokens = tokenize(model, grids[0])
 print(f"\ntemporal codes of record 0:  {tokens.z_t[0].tolist()}")
 print(f"frequency codes of record 0: {tokens.z_f[0].tolist()}")
 
-usage = code_usage_report(model.codebook_f)
-used = int((usage.counts > 0).sum())
+used = int((model.codebook_f.usage > 0).sum())
 print(f"\nfrequency codebook: {used}/{config.codebook_size} codes in use")

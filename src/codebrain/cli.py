@@ -16,8 +16,12 @@ Every command reads and writes under one output tree::
     out/analysis/  usage/dominance CSVs, SVG plots (analyze)
     out/bench.csv  backbone scaling table          (bench)
 
-Exit codes: 0 success, 2 invalid configuration, 3 missing prerequisite,
-4 numeric divergence.
+The library returns data; this module writes every one of these artifacts
+except the checkpoints and histories `pretrain` writes while it trains, and
+every table goes through `_write_csv`.
+
+Exit codes: 0 success, 2 invalid configuration, 3 missing or damaged
+prerequisite, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -62,14 +66,8 @@ from .pretrain import (
 )
 from .probe import ProbeConfig, extract_features, train_probe_on_features
 from .signal import EegRecord, GeneratorSpec, PatchGrid
-from .ssm import EegssmConfig, EegssmModel, bench_backbones, write_bench_csv
-from .tokenizer import (
-    TokenizerConfig,
-    TokenizerModel,
-    class_specific_ratio,
-    code_usage_report,
-    tokenize,
-)
+from .ssm import EegssmConfig, EegssmModel, bench_backbones
+from .tokenizer import TokenizerConfig, TokenizerModel, class_specific_ratio, tokenize
 
 __all__ = ["ConfigError", "PrerequisiteError", "RunConfig", "main"]
 
@@ -79,7 +77,7 @@ class ConfigError(ValueError):
 
 
 class PrerequisiteError(RuntimeError):
-    """A required input artifact is missing; maps to exit code 3."""
+    """A required input artifact is missing or damaged; maps to exit code 3."""
 
 
 # ---- configuration -------------------------------------------------------------
@@ -209,7 +207,15 @@ def _generator_spec(run: RunConfig) -> GeneratorSpec:
         raise ConfigError(f"invalid [data] configuration: {exc}") from None
 
 
-# ---- artifact loading ------------------------------------------------------------
+# ---- artifacts -------------------------------------------------------------------
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The one table format of every run artifact: a header, then the rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
@@ -217,8 +223,16 @@ def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
     manifest = data_dir / "manifest.json"
     if not manifest.is_file():
         raise PrerequisiteError(f"no dataset manifest at {manifest}; run gen-data first")
-    info = json.loads(manifest.read_text())
-    records = [signal.load_record(data_dir / name) for name in info["files"]]
+    try:
+        info = json.loads(manifest.read_text())
+    except ValueError as exc:
+        raise PrerequisiteError(f"the dataset manifest {manifest} is unusable: {exc}") from None
+    records = []
+    for name in info["files"]:
+        try:
+            records.append(signal.load_record(data_dir / name))
+        except (OSError, ValueError) as exc:
+            raise PrerequisiteError(f"the dataset record {data_dir / name} is unusable: {exc}") from None
     return records, info
 
 
@@ -387,6 +401,9 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
 
     out_dir = run.out / "probe"
     out_dir.mkdir(parents=True, exist_ok=True)
+    metric_names = ["kappa", "balanced_acc", "weighted_f1"]
+    if n_classes == 2:  # the probe reports rank metrics for binary tasks
+        metric_names += ["auroc", "auc_pr"]
     reports = []
     for s in range(n_seeds):
         y = _shuffled_copy(labels, splits, probe_cfg.seed + s) if shuffled else labels
@@ -395,14 +412,18 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
         _, report = train_probe_on_features(
             sets["train"], sets["val"], sets["test"], cfg_s, n_classes=n_classes
         )
-        report.to_json(out_dir / f"metrics_seed{s}.json")
-        report.to_csv(out_dir / f"metrics_seed{s}.csv")
-        report.confusion_to_csv(out_dir / f"confusion_seed{s}.csv")
+        (out_dir / f"metrics_seed{s}.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _write_csv(
+            out_dir / f"metrics_seed{s}.csv", ["metric", "value"],
+            [["task", report.task]] + [[name, f"{getattr(report, name):.6f}"] for name in metric_names],
+        )
+        k = report.confusion.shape[0]
+        _write_csv(
+            out_dir / f"confusion_seed{s}.csv", ["true\\pred"] + [f"pred_{j}" for j in range(k)],
+            [[f"true_{i}"] + row for i, row in enumerate(report.confusion.tolist())],
+        )
         reports.append(report)
 
-    metric_names = ["kappa", "balanced_acc", "weighted_f1"]
-    if reports[0].auroc is not None:
-        metric_names += ["auroc", "auc_pr"]
     summary = {
         name: {
             "mean": float(np.mean([getattr(r, name) for r in reports])),
@@ -413,11 +434,10 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
     summary["seeds"] = n_seeds
     summary["shuffled"] = bool(shuffled)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "mean", "std"])
-        for name in metric_names:
-            w.writerow([name, f"{summary[name]['mean']:.6f}", f"{summary[name]['std']:.6f}"])
+    _write_csv(
+        out_dir / "summary.csv", ["metric", "mean", "std"],
+        [[name, f"{summary[name]['mean']:.6f}", f"{summary[name]['std']:.6f}"] for name in metric_names],
+    )
     kappa = summary["kappa"]
     print(
         f"probe done over {n_seeds} seed(s): kappa {kappa['mean']:.4f} "
@@ -506,24 +526,19 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     out_dir = run.out / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    code_usage_report(tok_model.codebook_t).to_csv(out_dir / "usage_t.csv")
-    code_usage_report(tok_model.codebook_f).to_csv(out_dir / "usage_f.csv")
+    for stream, codebook in (("t", tok_model.codebook_t), ("f", tok_model.codebook_f)):
+        _write_csv(out_dir / f"usage_{stream}.csv", ["code_index", "count"], enumerate(codebook.usage.tolist()))
 
     grids = _grids(records, tok_model.config.patch_len)
     samples = [(tokenize(tok_model, g), int(y)) for g, y in zip(grids, info["labels"])]
     report = class_specific_ratio(samples, tok_model.config.codebook_size, tau=tau)
-    with open(out_dir / "dominance.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stream", "used", "class_specific", "ratio"])
-        w.writerow(["temporal", report.used_t, report.specific_t, f"{report.ratio_t:.6f}"])
-        w.writerow(["frequency", report.used_f, report.specific_f, f"{report.ratio_f:.6f}"])
-
-    with open(out_dir / "diversity.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stream", "distinct"])
-        w.writerow(["temporal", report.used_t])
-        w.writerow(["frequency", report.used_f])
-        w.writerow(["dual", report.distinct_pairs])
+    _write_csv(out_dir / "dominance.csv", ["stream", "used", "class_specific", "ratio"], [
+        ["temporal", report.used_t, report.specific_t, f"{report.ratio_t:.6f}"],
+        ["frequency", report.used_f, report.specific_f, f"{report.ratio_f:.6f}"],
+    ])
+    _write_csv(out_dir / "diversity.csv", ["stream", "distinct"], [
+        ["temporal", report.used_t], ["frequency", report.used_f], ["dual", report.distinct_pairs],
+    ])
 
     for stage, plots in _HISTORY_PLOTS.items():
         path = run.path(stage, f"{stage}/final").parent / f"history_{stage}.csv"
@@ -532,7 +547,10 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         rows = read_history_csv(path)
         if not rows:
             raise ConfigError(f"empty history file {path}")
-        h = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+        try:
+            h = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+        except (TypeError, ValueError):  # a non-numeric or missing cell
+            raise ConfigError(f"non-numeric history file {path}") from None
         for name, keys, title, ylabel in plots:
             _svg_lines(out_dir / name, {k: (h["step"], h[k]) for k in keys}, title, ylabel)
     print(f"analysis written to {out_dir}")
@@ -560,7 +578,9 @@ def cmd_bench(run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid [bench] configuration: {exc}") from None
     run.out.mkdir(parents=True, exist_ok=True)
     path = run.out / "bench.csv"
-    write_bench_csv(rows, path)
+    _write_csv(path, ["backbone", "seq_len", "features", "params", "wall_ms", "peak_bytes"], [
+        [r.backbone, r.seq_len, r.features, r.params, f"{r.wall_ms:.4f}", r.peak_bytes] for r in rows
+    ])
     print(f"benchmark table written to {path}")
     return 0
 

@@ -13,7 +13,6 @@ any gradient tape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,22 +89,17 @@ def weighted_f1(cm: np.ndarray) -> float:
 
 
 def _roc_points(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tie-grouped ROC curve from (0,0) to (1,1), thresholds descending."""
+    """Cumulative (tp, fp) counts at each distinct score, thresholds
+    descending; the last entries are the positive and negative totals."""
+    if not ((labels == 1).any() and (labels == 0).any()):
+        raise ValueError("AUROC and AUC-PR need both classes present")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUROC needs both classes present")
     # group equal scores so ties move diagonally in one step
     boundary = np.nonzero(np.diff(s))[0]
     idx = np.concatenate([boundary, [s.size - 1]])
-    tp = np.cumsum(y == 1)[idx]
-    fp = np.cumsum(y == 0)[idx]
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    return fpr, tpr
+    return np.cumsum(y == 1)[idx], np.cumsum(y == 0)[idx]
 
 
 def auroc(scores, labels) -> float:
@@ -115,7 +109,9 @@ def auroc(scores, labels) -> float:
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    fpr, tpr = _roc_points(s, y)
+    tp, fp = _roc_points(s, y)
+    tpr = np.concatenate([[0.0], tp / tp[-1]])
+    fpr = np.concatenate([[0.0], fp / fp[-1]])
     return float(((tpr[1:] + tpr[:-1]) * np.diff(fpr)).sum() / 2.0)
 
 
@@ -123,17 +119,9 @@ def auc_pr(scores, labels) -> float:
     """Area under the precision-recall curve by right-continuous steps."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0 or (y == 0).sum() == 0:
-        raise ValueError("AUC-PR needs both classes present")
-    order = np.argsort(-s, kind="stable")
-    ys = y[order]
-    boundary = np.nonzero(np.diff(s[order]))[0]
-    idx = np.concatenate([boundary, [ys.size - 1]])
-    tp = np.cumsum(ys == 1)[idx].astype(np.float64)
-    n_at = (idx + 1).astype(np.float64)
-    precision = tp / n_at
-    recall = tp / n_pos
+    tp, fp = _roc_points(s, y)
+    precision = tp / (tp + fp)
+    recall = tp / tp[-1]
     # Python's sum adds left to right; np.sum's pairwise order moves the last bit
     return float(sum(np.diff(recall, prepend=0.0) * precision))
 
@@ -164,33 +152,6 @@ class MetricsReport:
             out["auroc"] = self.auroc
             out["auc_pr"] = self.auc_pr
         return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "value"])
-            w.writerow(["task", self.task])
-            for name in ("kappa", "balanced_acc", "weighted_f1"):
-                w.writerow([name, f"{getattr(self, name):.6f}"])
-            if self.auroc is not None:
-                w.writerow(["auroc", f"{self.auroc:.6f}"])
-                w.writerow(["auc_pr", f"{self.auc_pr:.6f}"])
-
-    def confusion_to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            k = self.confusion.shape[0]
-            w.writerow(["true\\pred"] + [f"pred_{j}" for j in range(k)])
-            for i in range(k):
-                w.writerow([f"true_{i}"] + self.confusion[i].tolist())
 
 
 def compute_metrics(predictions, labels, scores=None, task: str = "multiclass", n_classes: int | None = None) -> MetricsReport:

@@ -48,7 +48,6 @@ __all__ = [
     "sgconv_param_count",
     "stack_forward",
     "swa_forward",
-    "write_bench_csv",
 ]
 
 
@@ -503,13 +502,3 @@ def bench_backbones(
             ms, peak = _time_and_peak(run_attention, repeats)
             rows.append(BenchRow("dense_attention", s, features, 4 * features * features, ms, peak))
     return rows
-
-
-def write_bench_csv(rows: list[BenchRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["backbone", "seq_len", "features", "params", "wall_ms", "peak_bytes"])
-        for r in rows:
-            w.writerow([r.backbone, r.seq_len, r.features, r.params, f"{r.wall_ms:.4f}", r.peak_bytes])

@@ -38,9 +38,7 @@ __all__ = [
     "TokenGrid",
     "TokenizerConfig",
     "TokenizerModel",
-    "UsageReport",
     "class_specific_ratio",
-    "code_usage_report",
     "contrastive_loss",
     "make_stage1_batch",
     "stage1_losses",
@@ -417,24 +415,6 @@ def tokenize(model: TokenizerModel, grid: PatchGrid) -> TokenGrid:
 
 
 # ---- analytics --------------------------------------------------------------
-
-
-@dataclass
-class UsageReport:
-    counts: np.ndarray
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["code_index", "count"])
-            for i, c in enumerate(self.counts):
-                w.writerow([i, int(c)])
-
-
-def code_usage_report(codebook: Codebook) -> UsageReport:
-    return UsageReport(counts=codebook.usage.copy())
 
 
 @dataclass

@@ -8,6 +8,7 @@ cases (bad config, missing prerequisites) get fresh directories.
 import hashlib
 import importlib.metadata
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -280,6 +281,27 @@ class TestPrerequisites:
         assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 3
         assert "conv0/bn/running_mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("record_0003.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
+            ("record_0003.bin", lambda p: p.unlink()),
+            ("record_0003.bin", lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
+            ("manifest.json", lambda p: p.write_text('{"files": [')),
+        ],
+        ids=["truncated_record", "deleted_record", "bad_magic", "unparsable_manifest"],
+    )
+    def test_damaged_dataset_rejected(self, pipeline, tmp_path, capsys, name, damage):
+        out, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(out / "data", data)
+        damage(data / name)
+        text = cfg.read_text() + f"paths.data = {data}\n"
+        x = tmp_path / "x"
+        assert run_cli("train-tokenizer", "--config", str(_write_cfg(tmp_path, text)), "--out", str(x)) == 3
+        assert str(data / name) in capsys.readouterr().err
+        assert not x.exists()  # nothing written
+
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):
             raise DivergenceError("non-finite loss at step 3")
@@ -348,6 +370,27 @@ class TestProbeArtifacts:
         summary = json.loads((out / "probe" / "summary.json").read_text())
         assert "auroc" in summary and "auc_pr" in summary
 
+    def test_metric_and_confusion_tables_match_the_json(self, pipeline):
+        out, _ = pipeline
+        kappas = []
+        for s in range(2):
+            text = (out / "probe" / f"metrics_seed{s}.json").read_text()
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True)  # no trailing newline
+            lines = (out / "probe" / f"metrics_seed{s}.csv").read_text().splitlines()
+            assert lines[0] == "metric,value"
+            assert lines[1] == f"task,{report['task']}"
+            names = ("kappa", "balanced_acc", "weighted_f1", "auroc", "auc_pr")
+            assert lines[2:] == [f"{name},{report[name]:.6f}" for name in names]
+            rows = (out / "probe" / f"confusion_seed{s}.csv").read_text().splitlines()
+            k = len(report["confusion"])
+            assert rows[0] == "true\\pred," + ",".join(f"pred_{j}" for j in range(k))
+            assert [[int(c) for c in row.split(",")[1:]] for row in rows[1:]] == report["confusion"]
+            assert [row.split(",")[0] for row in rows[1:]] == [f"true_{i}" for i in range(k)]
+            kappas.append(report["kappa"])
+        summary = json.loads((out / "probe" / "summary.json").read_text())
+        assert summary["kappa"]["mean"] == pytest.approx(np.mean(kappas))  # the JSON holds each report's kappa
+
     def test_shuffled_mode(self, pipeline, tmp_path):
         out, cfg = pipeline
         extra = _write_cfg(tmp_path, cfg.read_text() + "probe.shuffled = true", name="shuf.cfg")
@@ -359,10 +402,13 @@ class TestProbeArtifacts:
 class TestAnalyzeArtifacts:
     def test_usage_csvs(self, pipeline):
         out, _ = pipeline
-        for name in ("usage_t.csv", "usage_f.csv"):
-            lines = (out / "analysis" / name).read_text().strip().splitlines()
+        ckpt = load_checkpoint(str(out / "stage1" / "final"))
+        for stream in ("t", "f"):
+            lines = (out / "analysis" / f"usage_{stream}.csv").read_text().strip().splitlines()
             assert lines[0] == "code_index,count"
             assert len(lines) == 1 + 16  # one row per code
+            usage = ckpt.tensors[f"codebook_{stream}/usage"].tolist()
+            assert lines[1:] == [f"{i},{count}" for i, count in enumerate(usage)]
 
     def test_dominance_and_diversity(self, pipeline):
         out, _ = pipeline
@@ -380,15 +426,25 @@ class TestAnalyzeArtifacts:
             assert text.startswith("<svg")
             assert "<polyline" in text
 
-    @pytest.mark.parametrize("content", ["", "step,lr,total\n"], ids=["no_bytes", "header_only"])
-    def test_empty_history_rejected(self, pipeline, tmp_path, capsys, content):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("", "empty history file"),
+            ("step,lr,total\n", "empty history file"),
+            ("step,lr,total\n0,abc,1.0\n", "non-numeric history file"),
+        ],
+        ids=["no_bytes", "header_only", "non_numeric"],
+    )
+    def test_empty_history_rejected(self, pipeline, tmp_path, capsys, content, message):
         run, cfg = pipeline
         stage1 = tmp_path / "stage1"
         shutil.copytree(run / "stage1" / "final", stage1 / "final")
         (stage1 / "history_stage1.csv").write_text(content)
         text = cfg.read_text() + f"paths.data = {run / 'data'}\npaths.stage1 = {stage1 / 'final'}\n"
         assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 2
-        assert "empty history file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(stage1 / "history_stage1.csv") in err
 
 
 class TestBench:
@@ -398,6 +454,11 @@ class TestBench:
         assert lines[0] == "backbone,seq_len,features,params,wall_ms,peak_bytes"
         backbones = {line.split(",")[0] for line in lines[1:]}
         assert backbones == {"sgconv", "direct_conv", "dense_attention"}
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 6
+            assert all(f.isdigit() for f in fields[1:4] + fields[5:])
+            assert re.fullmatch(r"\d+\.\d{4}", fields[4])  # wall_ms
 
 
 class TestEntryPoints:

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every name in a
-module's `__all__` is bound in it.
+"""Every name a module imports is used in that module, every name in a
+module's `__all__` is bound in it, and only the CLI and the training loop
+import `csv`: the CLI writes every run table, `pretrain` its history.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
@@ -50,6 +51,20 @@ def unbound_exports(source: str) -> list[str]:
     return sorted(name for name in exported if name not in bound)
 
 
+def imports_module(source: str, module: str) -> bool:
+    """Whether any statement, at any depth, imports `module` or a submodule."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            return True
+    return False
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom typing import Iterable\nos.sep\n") == ["Iterable (line 2)"]
 
@@ -67,3 +82,14 @@ def test_checker_flags_an_unbound_export():
 @pytest.mark.parametrize("path", EXPORTING, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unbound_exports(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def test_checker_finds_imports_inside_functions():
+    assert imports_module("def f():\n    import csv\n", "csv")
+    assert imports_module("def f():\n    from csv import writer\n", "csv")
+    assert not imports_module("import csvkit\nfrom . import csv\n", "csv")
+
+
+def test_only_cli_and_pretrain_import_csv():
+    importers = sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py") if imports_module(p.read_text(), "csv"))
+    assert importers == ["cli.py", "pretrain.py"]

@@ -5,8 +5,6 @@ AUROC is checked against the brute-force pairwise comparison estimator
 probe against synthetic feature sets whose separability we control.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -252,27 +250,6 @@ class TestComputeMetrics:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([0, 1], [0, 1], task="ranking")
-
-    def test_json_round_trip(self, tmp_path):
-        rep = compute_metrics([0, 1, 1, 0], [0, 1, 0, 1], n_classes=2)
-        path = tmp_path / "metrics.json"
-        rep.to_json(path)
-        loaded = json.loads(path.read_text())
-        assert loaded["kappa"] == pytest.approx(rep.kappa)
-        assert loaded["confusion"] == rep.confusion.tolist()
-
-    def test_csv_output(self, tmp_path):
-        cmpath = tmp_path / "confusion.csv"
-        mpath = tmp_path / "metrics.csv"
-        rep = compute_metrics([0, 0, 1, 1], [0, 1, 0, 1], n_classes=2)
-        rep.to_csv(mpath)
-        rep.confusion_to_csv(cmpath)
-        lines = mpath.read_text().strip().split("\n")
-        assert lines[0] == "metric,value"
-        assert any(line.startswith("kappa,") for line in lines)
-        rows = cmpath.read_text().strip().split("\n")
-        assert rows[0] == "true\\pred,pred_0,pred_1"
-        assert rows[1] == "true_0,1,1"
 
 
 class TestProbeHead:

@@ -14,7 +14,6 @@ from codebrain.tokenizer import (
     TokenizerConfig,
     TokenizerModel,
     class_specific_ratio,
-    code_usage_report,
     contrastive_loss,
     make_stage1_batch,
     stage1_losses,
@@ -470,29 +469,14 @@ class TestTokenize:
 class TestUsageReport:
     def test_fresh_codebook_all_unused(self):
         cb = Codebook(16, 4, np.random.default_rng(30))
-        rep = code_usage_report(cb)
         assert cb.unused_count() == 16
-        assert rep.counts.sum() == 0
+        assert cb.usage.sum() == 0
 
     def test_self_quantization_uses_everything(self):
         cb = Codebook(16, 4, np.random.default_rng(31))
         _quantize_st(Tensor(cb.codes.data[None].copy()), cb)
-        rep = code_usage_report(cb)
         assert cb.unused_count() == 0
-        assert rep.counts.sum() == 16
-
-    def test_csv_export(self, tmp_path):
-        cb = Codebook(4, 2, np.random.default_rng(32))
-        cb.codes.data = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=np.float32)
-        _quantize_st(Tensor(np.array([[[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]]], dtype=np.float32)), cb)
-        rep = code_usage_report(cb)
-        path = tmp_path / "usage.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "code_index,count"
-        assert lines[1] == "0,1"
-        assert lines[2] == "1,2"
-        assert cb.unused_count() == 2
+        assert cb.usage.sum() == 16
 
 
 class TestClassSpecificRatio:
