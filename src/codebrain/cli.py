@@ -18,7 +18,8 @@ Every command reads and writes under one output tree::
 
 The library returns data; this module writes every one of these artifacts
 except the checkpoints and histories `pretrain` writes while it trains, and
-every table goes through `_write_csv`.
+every table goes through `_write_csv`; the `_*_table` helpers lay out the
+usage, metrics, confusion and bench tables.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing or damaged
 prerequisite, 4 numeric divergence.
@@ -218,6 +219,25 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _usage_table(codebook) -> tuple[list[str], list]:
+    return ["code_index", "count"], list(enumerate(codebook.usage.tolist()))
+
+
+def _metrics_table(report, metric_names: list[str]) -> tuple[list[str], list]:
+    rows = [["task", report.task]] + [[name, f"{getattr(report, name):.6f}"] for name in metric_names]
+    return ["metric", "value"], rows
+
+
+def _confusion_table(confusion: np.ndarray) -> tuple[list[str], list]:
+    header = ["true\\pred"] + [f"pred_{j}" for j in range(confusion.shape[0])]
+    return header, [[f"true_{i}"] + row for i, row in enumerate(confusion.tolist())]
+
+
+def _bench_table(rows) -> tuple[list[str], list]:
+    header = ["backbone", "seq_len", "features", "params", "wall_ms", "peak_bytes"]
+    return header, [[r.backbone, r.seq_len, r.features, r.params, f"{r.wall_ms:.4f}", r.peak_bytes] for r in rows]
+
+
 def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
     data_dir = run.path("data", "data")
     manifest = data_dir / "manifest.json"
@@ -413,15 +433,8 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
             sets["train"], sets["val"], sets["test"], cfg_s, n_classes=n_classes
         )
         (out_dir / f"metrics_seed{s}.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        _write_csv(
-            out_dir / f"metrics_seed{s}.csv", ["metric", "value"],
-            [["task", report.task]] + [[name, f"{getattr(report, name):.6f}"] for name in metric_names],
-        )
-        k = report.confusion.shape[0]
-        _write_csv(
-            out_dir / f"confusion_seed{s}.csv", ["true\\pred"] + [f"pred_{j}" for j in range(k)],
-            [[f"true_{i}"] + row for i, row in enumerate(report.confusion.tolist())],
-        )
+        _write_csv(out_dir / f"metrics_seed{s}.csv", *_metrics_table(report, metric_names))
+        _write_csv(out_dir / f"confusion_seed{s}.csv", *_confusion_table(report.confusion))
         reports.append(report)
 
     summary = {
@@ -527,7 +540,7 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for stream, codebook in (("t", tok_model.codebook_t), ("f", tok_model.codebook_f)):
-        _write_csv(out_dir / f"usage_{stream}.csv", ["code_index", "count"], enumerate(codebook.usage.tolist()))
+        _write_csv(out_dir / f"usage_{stream}.csv", *_usage_table(codebook))
 
     grids = _grids(records, tok_model.config.patch_len)
     samples = [(tokenize(tok_model, g), int(y)) for g, y in zip(grids, info["labels"])]
@@ -578,9 +591,7 @@ def cmd_bench(run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid [bench] configuration: {exc}") from None
     run.out.mkdir(parents=True, exist_ok=True)
     path = run.out / "bench.csv"
-    _write_csv(path, ["backbone", "seq_len", "features", "params", "wall_ms", "peak_bytes"], [
-        [r.backbone, r.seq_len, r.features, r.params, f"{r.wall_ms:.4f}", r.peak_bytes] for r in rows
-    ])
+    _write_csv(path, *_bench_table(rows))
     print(f"benchmark table written to {path}")
     return 0
 

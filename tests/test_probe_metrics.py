@@ -5,9 +5,12 @@ AUROC is checked against the brute-force pairwise comparison estimator
 probe against synthetic feature sets whose separability we control.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from codebrain import cli
 from codebrain.probe import (
     MetricsReport,
     ProbeConfig,
@@ -250,6 +253,26 @@ class TestComputeMetrics:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([0, 1], [0, 1], task="ranking")
+
+    def test_json_round_trip(self):
+        # the probe command writes metrics_seed*.json as this dump of to_dict()
+        rep = compute_metrics([0, 1, 1, 0], [0, 1, 0, 1], n_classes=2)
+        loaded = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
+        assert loaded["kappa"] == pytest.approx(rep.kappa)
+        assert loaded["confusion"] == rep.confusion.tolist()
+
+    def test_csv_output(self, tmp_path):
+        cmpath = tmp_path / "confusion.csv"
+        mpath = tmp_path / "metrics.csv"
+        rep = compute_metrics([0, 0, 1, 1], [0, 1, 0, 1], n_classes=2)
+        cli._write_csv(mpath, *cli._metrics_table(rep, ["kappa", "balanced_acc"]))
+        cli._write_csv(cmpath, *cli._confusion_table(rep.confusion))
+        lines = mpath.read_text().strip().split("\n")
+        assert lines[0] == "metric,value"
+        assert any(line.startswith("kappa,") for line in lines)
+        rows = cmpath.read_text().strip().split("\n")
+        assert rows[0] == "true\\pred,pred_0,pred_1"
+        assert rows[1] == "true_0,1,1"
 
 
 class TestProbeHead:

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from codebrain import nn
+from codebrain import cli, nn
 from codebrain.numerics import Tensor, backward, finite_diff_check
 from codebrain.ssm import (
+    BenchRow,
     EegssmBlock,
     EegssmConfig,
     EegssmModel,
@@ -540,3 +541,11 @@ class TestBench:
         att = {r.seq_len: r.peak_bytes for r in rows if r.backbone == "dense_attention"}
         ratio = att[2048] / att[1024]
         assert 3.2 <= ratio <= 4.8  # within 20% of 4x
+
+    def test_csv_output(self, tmp_path):
+        rows = [BenchRow("sgconv", 64, 1, 80, 1.25, 4096)]
+        path = tmp_path / "bench.csv"
+        cli._write_csv(path, *cli._bench_table(rows))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "backbone,seq_len,features,params,wall_ms,peak_bytes"
+        assert lines[1] == "sgconv,64,1,80,1.2500,4096"

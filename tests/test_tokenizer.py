@@ -5,6 +5,7 @@ tokenization determinism, and the usage/dominance analytics."""
 import numpy as np
 import pytest
 
+from codebrain import cli
 from codebrain.numerics import Tensor, backward, finite_diff_check, no_grad
 from codebrain.signal import PatchGrid
 from codebrain.tokenizer import (
@@ -477,6 +478,18 @@ class TestUsageReport:
         _quantize_st(Tensor(cb.codes.data[None].copy()), cb)
         assert cb.unused_count() == 0
         assert cb.usage.sum() == 16
+
+    def test_csv_export(self, tmp_path):
+        cb = Codebook(4, 2, np.random.default_rng(32))
+        cb.codes.data = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=np.float32)
+        _quantize_st(Tensor(np.array([[[0.1, 0.1], [0.9, 1.1], [1.1, 0.9]]], dtype=np.float32)), cb)
+        path = tmp_path / "usage.csv"
+        cli._write_csv(path, *cli._usage_table(cb))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "code_index,count"
+        assert lines[1] == "0,1"
+        assert lines[2] == "1,2"
+        assert cb.unused_count() == 2
 
 
 class TestClassSpecificRatio:
