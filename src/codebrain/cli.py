@@ -238,6 +238,29 @@ def _bench_table(rows) -> tuple[list[str], list]:
     return header, [[r.backbone, r.seq_len, r.features, r.params, f"{r.wall_ms:.4f}", r.peak_bytes] for r in rows]
 
 
+def _manifest_problem(info) -> str | None:
+    """Why a parsed dataset manifest cannot be read as gen-data writes it,
+    or None."""
+    if not isinstance(info, dict):
+        return "not a JSON object"
+    missing = [key for key in ("files", "labels", "splits") if key not in info]
+    if missing:
+        return f"no {', '.join(missing)}"
+    files, labels, splits = info["files"], info["labels"], info["splits"]
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        return "files is not a list of names"
+    if not isinstance(labels, list) or len(labels) != len(files) or not all(
+        type(y) is int and y >= 0 for y in labels
+    ):
+        return "labels is not one class id per file"
+    if not isinstance(splits, dict) or set(splits) != {"train", "val", "test"} or not all(
+        isinstance(idx, list) and all(type(i) is int and 0 <= i < len(files) for i in idx)
+        for idx in splits.values()
+    ):
+        return "splits is not train, val and test lists of record indices"
+    return None
+
+
 def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
     data_dir = run.path("data", "data")
     manifest = data_dir / "manifest.json"
@@ -247,6 +270,9 @@ def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
         info = json.loads(manifest.read_text())
     except ValueError as exc:
         raise PrerequisiteError(f"the dataset manifest {manifest} is unusable: {exc}") from None
+    problem = _manifest_problem(info)
+    if problem:
+        raise PrerequisiteError(f"the dataset manifest {manifest} is unusable: {problem}")
     records = []
     for name in info["files"]:
         try:
@@ -530,12 +556,33 @@ _HISTORY_PLOTS = {
 }
 
 
+def _read_history(run: RunConfig, stage: str) -> dict[str, np.ndarray] | None:
+    """The numeric columns of `stage`'s history CSV (None if there is no
+    file); ConfigError unless every cell is a number and every column
+    `_HISTORY_PLOTS` draws is there."""
+    path = run.path(stage, f"{stage}/final").parent / f"history_{stage}.csv"
+    if not path.is_file():
+        return None
+    rows = read_history_csv(path)
+    if not rows:
+        raise ConfigError(f"empty history file {path}")
+    try:
+        h = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+    except (TypeError, ValueError):  # a non-numeric or missing cell
+        raise ConfigError(f"non-numeric history file {path}") from None
+    for key in ("step", *(k for _, keys, _, _ in _HISTORY_PLOTS[stage] for k in keys)):
+        if key not in h:
+            raise ConfigError(f"history file {path} has no {key!r} column")
+    return h
+
+
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     tau = _convert(run.values["analyze.tau"], 1.0, "analyze.tau")
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"analyze.tau must be in (0, 1], got {tau}")
     tok_model = _load_model(run, "stage1")
     records, info = _load_corpus(run)
+    histories = {stage: _read_history(run, stage) for stage in _HISTORY_PLOTS}
     out_dir = run.out / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -553,18 +600,10 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         ["temporal", report.used_t], ["frequency", report.used_f], ["dual", report.distinct_pairs],
     ])
 
-    for stage, plots in _HISTORY_PLOTS.items():
-        path = run.path(stage, f"{stage}/final").parent / f"history_{stage}.csv"
-        if not path.is_file():
+    for stage, h in histories.items():
+        if h is None:
             continue
-        rows = read_history_csv(path)
-        if not rows:
-            raise ConfigError(f"empty history file {path}")
-        try:
-            h = {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
-        except (TypeError, ValueError):  # a non-numeric or missing cell
-            raise ConfigError(f"non-numeric history file {path}") from None
-        for name, keys, title, ylabel in plots:
+        for name, keys, title, ylabel in _HISTORY_PLOTS[stage]:
             _svg_lines(out_dir / name, {k: (h["step"], h[k]) for k in keys}, title, ylabel)
     print(f"analysis written to {out_dir}")
     return 0

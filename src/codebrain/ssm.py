@@ -376,17 +376,19 @@ class EegssmModel(nn.Module):
         self.head_t = nn.Linear(c.features, c.codebook_size, rng, w_std=1e-2)
         self.head_f = nn.Linear(c.features, c.codebook_size, rng, w_std=1e-2)
 
-    def forward(
+    def features(
         self,
         patches: np.ndarray,
         mask: np.ndarray | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> EegssmOutput:
-        """(B, S, T) waveform patches -> features and per-position logits.
+    ) -> Tensor:
+        """(B, S, T) waveform patches -> (B, S, F) stack features.
 
         `mask` is an optional (B, S) boolean array; True positions have their
-        embeddings replaced by the learned mask embedding.
+        embeddings replaced by the learned mask embedding. In eval mode no
+        step mixes the records of a batch, so each record's features are
+        the ones it gets in a batch of its own.
         """
         b, s, t = patches.shape
         if t != self.config.patch_len:
@@ -397,7 +399,17 @@ class EegssmModel(nn.Module):
                 raise ValueError(f"mask shape {mask.shape} != {(b, s)}")
             m = Tensor(mask.astype(np.float32)[..., None])
             e = e * (1.0 - m) + self.mask_embed * m
-        feats = stack_forward(self.blocks, e, train, rng)
+        return stack_forward(self.blocks, e, train, rng)
+
+    def forward(
+        self,
+        patches: np.ndarray,
+        mask: np.ndarray | None = None,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> EegssmOutput:
+        """`features` plus the per-position token logits of both heads."""
+        feats = self.features(patches, mask, train, rng)
         return EegssmOutput(
             features=feats,
             logits_t=self.head_t(feats),

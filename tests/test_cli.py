@@ -154,6 +154,12 @@ class TestGenData:
         assert "Nyquist" in capsys.readouterr().err
 
 
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 def _write_cfg(tmp_path, text, name="override.cfg"):
     path = tmp_path / name
     path.write_text(text + "\n")
@@ -288,19 +294,35 @@ class TestPrerequisites:
             ("record_0003.bin", lambda p: p.unlink()),
             ("record_0003.bin", lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
             ("manifest.json", lambda p: p.write_text('{"files": [')),
+            ("manifest.json", lambda p: p.write_text("{}")),
+            ("manifest.json", lambda p: p.write_text("[]")),
+            *[
+                ("manifest.json", lambda p, key=key: _edit_manifest(p, lambda m: m.pop(key)))
+                for key in ("files", "labels", "splits")
+            ],
+            ("manifest.json", lambda p: _edit_manifest(p, lambda m: m["splits"]["train"].append(10**6))),
+            ("manifest.json", lambda p: _edit_manifest(p, lambda m: m["labels"].pop())),
         ],
-        ids=["truncated_record", "deleted_record", "bad_magic", "unparsable_manifest"],
+        ids=[
+            "truncated_record", "deleted_record", "bad_magic", "unparsable_manifest",
+            "empty_manifest", "list_manifest", "no_files", "no_labels", "no_splits",
+            "split_index_out_of_range", "label_count_mismatch",
+        ],
     )
     def test_damaged_dataset_rejected(self, pipeline, tmp_path, capsys, name, damage):
         out, cfg = pipeline
         data = tmp_path / "data"
         shutil.copytree(out / "data", data)
         damage(data / name)
-        text = cfg.read_text() + f"paths.data = {data}\n"
+        text = cfg.read_text() + (
+            f"paths.data = {data}\npaths.stage1 = {out / 'stage1' / 'final'}\n"
+            f"paths.stage2 = {out / 'stage2' / 'final'}\n"
+        )
         x = tmp_path / "x"
-        assert run_cli("train-tokenizer", "--config", str(_write_cfg(tmp_path, text)), "--out", str(x)) == 3
-        assert str(data / name) in capsys.readouterr().err
-        assert not x.exists()  # nothing written
+        for command in ("train-tokenizer", "train-ssm", "probe", "analyze"):
+            assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(x)) == 3, command
+            assert str(data / name) in capsys.readouterr().err, command
+            assert not x.exists(), command  # nothing written
 
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):
@@ -432,8 +454,9 @@ class TestAnalyzeArtifacts:
             ("", "empty history file"),
             ("step,lr,total\n", "empty history file"),
             ("step,lr,total\n0,abc,1.0\n", "non-numeric history file"),
+            ("step,lr,total\n0,0.1,1.0\n", "has no 'freq_recon' column"),
         ],
-        ids=["no_bytes", "header_only", "non_numeric"],
+        ids=["no_bytes", "header_only", "non_numeric", "missing_column"],
     )
     def test_empty_history_rejected(self, pipeline, tmp_path, capsys, content, message):
         run, cfg = pipeline
@@ -445,6 +468,7 @@ class TestAnalyzeArtifacts:
         err = capsys.readouterr().err
         assert message in err
         assert str(stage1 / "history_stage1.csv") in err
+        assert not (tmp_path / "x").exists()  # rejected before any artifact
 
 
 class TestBench:

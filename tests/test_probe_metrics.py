@@ -6,11 +6,12 @@ probe against synthetic feature sets whose separability we control.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from codebrain import cli
+from codebrain import cli, probe
 from codebrain.probe import (
     MetricsReport,
     ProbeConfig,
@@ -420,4 +421,90 @@ class TestTrainProbe:
         assert feats.shape == (1, 2, model.config.features)
         out = model.forward(grid.patches.reshape(1, 8, 16).astype(np.float32))
         manual = out.features.data[0].reshape(2, 4, -1).mean(axis=1)
-        np.testing.assert_allclose(feats[0], manual, rtol=1e-6)
+        np.testing.assert_array_equal(feats[0], manual)
+
+
+def pooled_alone(model, grid):
+    """The slow path: one full forward per record, pooled over windows."""
+    c, n, t = grid.patches.shape
+    out = model.forward(grid.patches.reshape(1, c * n, t).astype(np.float32))
+    return out.features.data[0].reshape(c, n, -1).mean(axis=1)
+
+
+class _Boom:
+    def __call__(self, *args):
+        raise AssertionError("a token head was evaluated")
+
+
+class TestExtractFeatures:
+    """Chunked, head-free extraction against one forward per record."""
+
+    def long_model(self):
+        # kernel_len 256 admits 4 x 64-window records: 2 records per chunk
+        cfg = EegssmConfig(
+            patch_len=16, features=8, blocks=2, kernel_len=256, kernel_base=4,
+            window=5, codebook_size=12, p_drop=0.1,
+        )
+        return EegssmModel(cfg, np.random.default_rng(3))
+
+    def spy(self, model, monkeypatch):
+        shapes = []
+        features = model.features
+
+        def recording(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return features(x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "features", recording)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "windows, calls",
+        [
+            ([64] * 5, [(2, 256, 16), (2, 256, 16), (1, 256, 16)]),
+            ([64, 64, 32, 32, 32, 64, 32, 64, 64, 64, 64, 64, 32],
+             [(2, 256, 16), (3, 128, 16), (1, 256, 16), (1, 128, 16),
+              (2, 256, 16), (2, 256, 16), (1, 256, 16), (1, 128, 16)]),
+            ([32], [(1, 128, 16)]),
+        ],
+        ids=["crosses_chunk_boundary", "interleaved_durations", "single_record"],
+    )
+    def test_equals_one_forward_per_record(self, monkeypatch, windows, calls):
+        assert probe._EXTRACT_CHUNK_POSITIONS == 512  # the chunks listed above
+        model = self.long_model()
+        rng = np.random.default_rng(11)
+        grids = [grid_for_class(rng, k % 3, c=4, n=n) for k, n in enumerate(windows)]
+        shapes = self.spy(model, monkeypatch)
+        feats = extract_features(model, grids)
+        assert shapes == calls
+        assert feats.shape == (len(grids), 4, 8)
+        for i, grid in enumerate(grids):
+            np.testing.assert_array_equal(feats[i], pooled_alone(model, grid), err_msg=f"record {i}")
+
+    def test_token_heads_never_evaluated(self):
+        model = self.long_model()
+        rng = np.random.default_rng(12)
+        grids = [grid_for_class(rng, 0, c=4, n=n) for n in (64, 32, 64)]
+        expected = np.stack([pooled_alone(model, g) for g in grids])
+        model.head_t = model.head_f = _Boom()
+        np.testing.assert_array_equal(extract_features(model, grids), expected)
+
+    def test_memory_bounded_by_one_chunk(self):
+        # 8 positions per record. Extracting eight chunks' worth must peak
+        # near one chunk's, not eight times it.
+        model = small_model()
+        rng = np.random.default_rng(13)
+        per_chunk = probe._EXTRACT_CHUNK_POSITIONS // 8
+        grids = [grid_for_class(rng, k % 2, c=2, n=4) for k in range(8 * per_chunk)]
+        extract_features(model, grids[:2])  # warm lazy state outside the trace
+
+        def traced_peak(gs):
+            tracemalloc.start()
+            try:
+                extract_features(model, gs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = traced_peak(grids[:per_chunk])
+        assert traced_peak(grids) < 2 * one_chunk

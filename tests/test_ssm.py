@@ -435,6 +435,30 @@ class TestEegssmModel:
         assert out.logits_t.shape == (2, 32, 12)
         assert out.logits_f.shape == (2, 32, 12)
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_features_are_forward_without_heads(self, masked, train):
+        rng = np.random.default_rng(66)
+        cfg = EegssmConfig(
+            patch_len=16, features=8, blocks=2, kernel_len=32, kernel_base=4,
+            window=5, codebook_size=12, p_drop=0.1,
+        )
+        model = EegssmModel(cfg, rng)
+        patches = rng.normal(size=(3, 32, 16)).astype(np.float32)
+        mask = rng.random((3, 32)) < 0.5 if masked else None
+        out = model.forward(patches, mask, train, np.random.default_rng(7))
+        feats = model.features(patches, mask, train, np.random.default_rng(7))
+        np.testing.assert_array_equal(out.features.data, feats.data)
+        # the composition forward stood for before `features` split off
+        e = model.embed(Tensor(patches))
+        if masked:
+            m = Tensor(mask.astype(np.float32)[..., None])
+            e = e * (1.0 - m) + model.mask_embed * m
+        ref = stack_forward(model.blocks, e, train, np.random.default_rng(7))
+        np.testing.assert_array_equal(feats.data, ref.data)
+        np.testing.assert_array_equal(out.logits_t.data, model.head_t(ref).data)
+        np.testing.assert_array_equal(out.logits_f.data, model.head_f(ref).data)
+
     def test_mask_substitution_blocks_identity_leak(self):
         # with masking, changing a masked patch's content cannot change logits
         rng = np.random.default_rng(61)
