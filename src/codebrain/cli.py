@@ -290,6 +290,17 @@ def _grids(records: list[EegRecord], patch_len: int) -> list[PatchGrid]:
     return out
 
 
+def _check_positions(grids: list[PatchGrid], config: TokenizerConfig) -> None:
+    """The tokenizer embeds each of a record's channels x windows patches at
+    its own position; a record longer than its position table is a ConfigError."""
+    longest = max((g.patches.shape[0] * g.patches.shape[1] for g in grids), default=0)
+    if longest > config.max_positions:
+        raise ConfigError(
+            f"records of {longest} patches (channels x windows) exceed "
+            f"tokenizer.max_positions = {config.max_positions}"
+        )
+
+
 _STAGES = {
     "stage1": ("tokenizer", TokenizerConfig, TokenizerModel, "train-tokenizer"),
     "stage2": ("backbone", EegssmConfig, EegssmModel, "train-ssm"),
@@ -313,7 +324,7 @@ def _load_model(run: RunConfig, stage: str):
             np.random.default_rng(0),
         )
         model.load_state_dict(ckpt.tensors)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"the {what} checkpoint at {ckpt_dir} is unusable: {exc}") from None
     return model
 
@@ -383,6 +394,7 @@ def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
     grids = _grids([records[i] for i in train_idx], tok_cfg.patch_len)
     if not grids:
         raise PrerequisiteError("training split is empty")
+    _check_positions(grids, tok_cfg)
 
     out_dir = run.out / "stage1"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,6 +417,7 @@ def cmd_train_ssm(run: RunConfig, args: argparse.Namespace) -> int:
     records, info = _load_corpus(run)
     train_idx = info["splits"]["train"]
     grids = _grids([records[i] for i in train_idx], model_cfg.patch_len)
+    _check_positions(grids, tok_model.config)
     data = [(g, tokenize(tok_model, g)) for g in grids]
 
     out_dir = run.out / "stage2"
@@ -582,6 +595,8 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"analyze.tau must be in (0, 1], got {tau}")
     tok_model = _load_model(run, "stage1")
     records, info = _load_corpus(run)
+    grids = _grids(records, tok_model.config.patch_len)
+    _check_positions(grids, tok_model.config)
     histories = {stage: _read_history(run, stage) for stage in _HISTORY_PLOTS}
     out_dir = run.out / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -589,7 +604,6 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     for stream, codebook in (("t", tok_model.codebook_t), ("f", tok_model.codebook_f)):
         _write_csv(out_dir / f"usage_{stream}.csv", *_usage_table(codebook))
 
-    grids = _grids(records, tok_model.config.patch_len)
     samples = [(tokenize(tok_model, g), int(y)) for g, y in zip(grids, info["labels"])]
     report = class_specific_ratio(samples, tok_model.config.codebook_size, tau=tau)
     _write_csv(out_dir / "dominance.csv", ["stream", "used", "class_specific", "ratio"], [

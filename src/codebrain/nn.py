@@ -1,9 +1,9 @@
 """Shared trainable layers built on the autodiff tensor.
 
-Every layer and model is a `Module`: it names its state in `children()`,
-and the base class derives the flat parameter and buffer maps, the state
-dict and the one checked state loader from that tree. Flat names join the
-path with slashes, e.g. `encoder/layer0/attn/q/w`.
+Every layer and model is a `Module`: its state is its attributes, and the
+base class derives the flat parameter and buffer maps, the state dict and
+the one checked state loader from that tree. Flat names join the path with
+slashes, e.g. `encoder/layer0/attn/q/w`.
 """
 
 from __future__ import annotations
@@ -33,15 +33,25 @@ class Module:
 
     `children()` maps names, in order, to trainable Tensors, buffers (numpy
     arrays of running state that are saved but not trained) and child
-    Modules. It is read at every call, so a layer may replace its arrays
-    between calls. The order of `named_params()` is the tree's order; the
-    optimizer and gradient clipping iterate in it. The optimizer's saved
-    state is a tree too: `pretrain.AdamW` names its step count and moments
-    as buffers, so they load through the same checked `load_state_dict`.
+    Modules. By default it reads the attributes in first-assignment order:
+    a Tensor is a parameter, an array a buffer, a Module a child, and a
+    list `xs` holds child Modules named `x0, x1, ...`; other values (sizes,
+    rates, configs) are not state. It is read at every call, so a layer may
+    replace its arrays between calls. The order of `named_params()` is the
+    tree's order; the optimizer and gradient clipping iterate in it.
+    `pretrain.AdamW` overrides `children()` to name its step count and
+    moments as buffers, so they load through the same checked
+    `load_state_dict`.
     """
 
     def children(self) -> dict[str, Tensor | np.ndarray | Module]:
-        raise NotImplementedError
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, (Tensor, np.ndarray, Module)):
+                out[name] = value
+            elif isinstance(value, list):
+                out.update((f"{name[:-1]}{i}", item) for i, item in enumerate(value))
+        return out
 
     def _leaves(self) -> dict[str, Tensor | np.ndarray]:
         out = {}
@@ -100,9 +110,6 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    def children(self) -> dict:
-        return {"w": self.w, "b": self.b}
-
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
@@ -111,9 +118,6 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
-
-    def children(self) -> dict:
-        return {"gamma": self.gamma, "beta": self.beta}
 
 
 class BatchNorm1d(Module):
@@ -152,14 +156,6 @@ class BatchNorm1d(Module):
         var = Tensor(self.running_var.reshape(1, -1, 1))
         return (x - mu) / (var + self.EPS) ** 0.5 * g + b
 
-    def children(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
 
 class SelfAttention(Module):
     """Multi-head scaled dot-product self-attention over (B, S, H)."""
@@ -188,9 +184,6 @@ class SelfAttention(Module):
         out = out.transpose(0, 2, 1, 3).reshape(b, s, self.dim)
         return self.o(out)
 
-    def children(self) -> dict:
-        return {"q": self.q, "k": self.k, "v": self.v, "o": self.o}
-
 
 class TransformerLayer(Module):
     """Pre-norm block: x + attn(ln(x)); x + mlp(ln(x))."""
@@ -206,9 +199,6 @@ class TransformerLayer(Module):
         x = x + self.attn(self.ln1(x))
         return x + self.fc2(self.fc1(self.ln2(x)).relu())
 
-    def children(self) -> dict:
-        return {"ln1": self.ln1, "attn": self.attn, "ln2": self.ln2, "fc1": self.fc1, "fc2": self.fc2}
-
 
 class TransformerEncoder(Module):
     def __init__(self, dim: int, layers: int, heads: int, mlp_dim: int, rng: np.random.Generator):
@@ -219,6 +209,3 @@ class TransformerEncoder(Module):
         for layer in self.layers:
             x = layer(x)
         return self.ln(x)
-
-    def children(self) -> dict:
-        return {**{f"layer{i}": layer for i, layer in enumerate(self.layers)}, "ln": self.ln}

@@ -245,9 +245,6 @@ class ProbeHead(nn.Module):
         x = dropout(x, self.config.p_drop, rng, train)
         return self.layer3(x)
 
-    def children(self) -> dict:
-        return {"layer1": self.layer1, "layer2": self.layer2, "layer3": self.layer3}
-
 
 # Positions per extraction forward. Bounding the chunk bounds extraction's
 # memory, which would otherwise grow with the corpus. 512 keeps its working

@@ -130,7 +130,9 @@ def save_record(record: EegRecord, path: str | Path) -> None:
 
 def load_record(path: str | Path) -> EegRecord:
     """Read a record written by `save_record`; channel names come from the
-    sidecar when present, otherwise default names are assigned."""
+    sidecar when present, otherwise default names are assigned. A sidecar
+    that is not an object whose `channels` lists one name per channel
+    raises RecordFormatError."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -146,9 +148,14 @@ def load_record(path: str | Path) -> EegRecord:
     samples = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n_ch, n_samp)
     sidecar = path.with_suffix(path.suffix + ".json")
     if sidecar.exists():
-        names = tuple(json.loads(sidecar.read_text())["channels"])
-        if len(names) != n_ch:
-            raise RecordFormatError(f"{path}: sidecar names {len(names)} != {n_ch} channels")
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise RecordFormatError(f"{sidecar}: not JSON: {exc}") from None
+        names = meta.get("channels") if isinstance(meta, dict) else None
+        if not (isinstance(names, list) and len(names) == n_ch and all(isinstance(n, str) for n in names)):
+            raise RecordFormatError(f"{sidecar}: channels must be a list of {n_ch} names")
+        names = tuple(names)
     else:
         names = default_channel_names(n_ch)
     return EegRecord(

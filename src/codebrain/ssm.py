@@ -97,9 +97,6 @@ class SgconvSpec(nn.Module):
     def n_subkernels(self) -> int:
         return self.weights.shape[1]
 
-    def children(self) -> dict:
-        return {"weights": self.weights}
-
     @classmethod
     def create(
         cls,
@@ -176,9 +173,6 @@ class SwaParams(nn.Module):
             o=nn.Linear(features, features, rng),
         )
 
-    def children(self) -> dict:
-        return {"q": self.q, "k": self.k, "v": self.v, "o": self.o}
-
 
 def swa_forward(
     x,
@@ -229,9 +223,6 @@ class GateParams(nn.Module):
             out2=nn.Linear(features, features, rng),
         )
 
-    def children(self) -> dict:
-        return {"wf": self.wf, "wg": self.wg, "out1": self.out1, "out2": self.out2}
-
 
 def gate(y_sg: Tensor, y_swa: Tensor, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
     """z = tanh(Wf . concat) * sigmoid(Wg . concat); y1, y2 = Conv(z), Conv(z)."""
@@ -272,9 +263,6 @@ class EegssmBlock(nn.Module):
             gate=GateParams.create(features, rng),
             p_drop=p_drop,
         )
-
-    def children(self) -> dict:
-        return {"rms_scale": self.rms_scale, "sgconv": self.sgconv, "swa": self.swa, "gate": self.gate}
 
 
 def block_forward(
@@ -329,6 +317,9 @@ class EegssmConfig:
 
     def __post_init__(self):
         _subkernel_count(self.kernel_len, self.kernel_base)
+        for name in ("patch_len", "features", "codebook_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.blocks < 1:
             raise ValueError("need at least one block")
         if self.window < 1:
@@ -415,15 +406,6 @@ class EegssmModel(nn.Module):
             logits_t=self.head_t(feats),
             logits_f=self.head_f(feats),
         )
-
-    def children(self) -> dict:
-        return {
-            "embed": self.embed,
-            "mask_embed": self.mask_embed,
-            **{f"block{i}": blk for i, blk in enumerate(self.blocks)},
-            "head_t": self.head_t,
-            "head_f": self.head_f,
-        }
 
 
 # ---- benchmark ---------------------------------------------------------------

@@ -33,6 +33,7 @@ from .signal import PatchGrid, freq_features
 
 __all__ = [
     "Codebook",
+    "ConvStage",
     "DominanceReport",
     "Stage1Batch",
     "TokenGrid",
@@ -69,6 +70,11 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.patch_len < 2:
             raise ValueError("patch_len must be >= 2")
+        for name in ("hidden", "heads", "mlp_dim", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.hidden % self.heads:
+            raise ValueError(f"hidden {self.hidden} not divisible by {self.heads} heads")
         if self.codebook_size < 1 or self.code_dim < 1:
             raise ValueError("codebook dimensions must be positive")
         if not (len(self.conv_channels) == len(self.conv_kernels) == len(self.conv_strides) == len(self.conv_pads)):
@@ -153,9 +159,6 @@ class Codebook(nn.Module):
             out[sel] = exact.argmin(axis=1)
         return out
 
-    def children(self) -> dict:
-        return {"codes": self.codes, "usage": self.usage}
-
     def reset_usage(self) -> None:
         self.usage[:] = 0
 
@@ -179,6 +182,23 @@ class TokenGrid:
         return self.z_t.shape
 
 
+class ConvStage(nn.Module):
+    """One layer of the waveform convolution stack: a strided convolution
+    with weights (out, in, kernel) and a bias, then batch norm and ReLU."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, pad: int, rng: np.random.Generator):
+        std = 1.0 / np.sqrt(c_in * kernel)
+        self.w = Tensor(rng.normal(0, std, size=(c_out, c_in, kernel)).astype(np.float32), requires_grad=True)
+        self.b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
+        self.bn = nn.BatchNorm1d(c_out)
+        self.stride = stride
+        self.pad = pad
+
+    def __call__(self, x: Tensor, train: bool) -> Tensor:
+        x = conv1d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return self.bn(x, train).relu()
+
+
 class TokenizerModel(nn.Module):
     """Encoder, two codebooks, and two decoders; see the module docstring."""
 
@@ -186,14 +206,10 @@ class TokenizerModel(nn.Module):
         self.config = config
         c = config
         in_ch = (1,) + c.conv_channels[:-1]
-        self.convs = []
-        self.conv_bns = []
-        for i, (ci, co, k) in enumerate(zip(in_ch, c.conv_channels, c.conv_kernels)):
-            std = 1.0 / np.sqrt(ci * k)
-            w = Tensor(rng.normal(0, std, size=(co, ci, k)).astype(np.float32), requires_grad=True)
-            b = Tensor(np.zeros(co, dtype=np.float32), requires_grad=True)
-            self.convs.append((w, b))
-            self.conv_bns.append(nn.BatchNorm1d(co))
+        self.convs = [
+            ConvStage(*shape, rng)
+            for shape in zip(in_ch, c.conv_channels, c.conv_kernels, c.conv_strides, c.conv_pads)
+        ]
         self.freq_proj = nn.Linear(c.freq_bins, c.time_feat, rng)
         self.input_proj = nn.Linear(2 * c.time_feat, c.hidden, rng)
         self.pos_embed = Tensor(
@@ -215,10 +231,8 @@ class TokenizerModel(nn.Module):
     # ---- forward pieces --------------------------------------------------
 
     def _conv_stack(self, x: Tensor, train: bool) -> Tensor:
-        c = self.config
-        for (w, b), bn, s, p in zip(self.convs, self.conv_bns, c.conv_strides, c.conv_pads):
-            x = conv1d(x, w, b, stride=s, pad=p)
-            x = bn(x, train).relu()
+        for conv in self.convs:
+            x = conv(x, train)
         return x
 
     def encode(self, patches: np.ndarray, freq_in: np.ndarray, positions: np.ndarray, train: bool = False) -> Tensor:
@@ -231,21 +245,6 @@ class TokenizerModel(nn.Module):
         ep = self.input_proj(concat([h, fr], axis=-1))
         ep = ep + take_rows(self.pos_embed, positions)
         return self.encoder(ep)
-
-    # ---- state -----------------------------------------------------------
-
-    def children(self) -> dict:
-        out = {}
-        for i, ((w, b), bn) in enumerate(zip(self.convs, self.conv_bns)):
-            out.update({f"conv{i}/w": w, f"conv{i}/b": b, f"conv{i}/bn": bn})
-        return {
-            **out,
-            "freq_proj": self.freq_proj, "input_proj": self.input_proj, "pos_embed": self.pos_embed,
-            "encoder": self.encoder, "down": self.down,
-            "codebook_t": self.codebook_t, "codebook_f": self.codebook_f,
-            "up_t": self.up_t, "up_f": self.up_f, "f_decoder": self.f_decoder, "t_decoder": self.t_decoder,
-            "f_head_amp": self.f_head_amp, "f_head_phase": self.f_head_phase, "t_head": self.t_head,
-        }
 
 
 # ---- batching ---------------------------------------------------------------

@@ -236,6 +236,53 @@ class TestConfigValidation:
         assert "[model]" in capsys.readouterr().err
         assert not (out / "stage2").exists()
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("train-tokenizer", "tokenizer.heads = 3"),
+            ("train-tokenizer", "tokenizer.heads = 0"),
+            ("train-tokenizer", "tokenizer.hidden = 0"),
+            ("train-tokenizer", "tokenizer.mlp_dim = 0"),
+            ("train-tokenizer", "tokenizer.max_positions = 0"),
+            ("train-ssm", "model.features = 0"),
+        ],
+    )
+    def test_invalid_model_width_rejected_before_writing(self, pipeline, tmp_path, capsys, command, text):
+        run, cfg = pipeline
+        key = text.split(" = ")[0]
+        kept = [line for line in cfg.read_text().splitlines() if not line.startswith(key + " ")]
+        text = "\n".join(kept) + (
+            f"\n{text}\npaths.data = {run / 'data'}\npaths.stage1 = {run / 'stage1' / 'final'}"
+        )
+        out = tmp_path / "x"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == 2
+        assert f"[{key.split('.')[0]}]" in capsys.readouterr().err
+        assert not out.exists()  # no stage directory
+
+    def test_records_longer_than_position_table_rejected(self, pipeline, tmp_path, capsys):
+        run, cfg = pipeline
+        text = cfg.read_text() + f"tokenizer.max_positions = 4\npaths.data = {run / 'data'}"
+        out = tmp_path / "x"
+        assert run_cli("train-tokenizer", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "records of 8 patches" in err and "max_positions = 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-ssm", "analyze"])
+    def test_stage1_position_table_shorter_than_records_rejected(self, pipeline, tmp_path, capsys, command):
+        run, cfg = pipeline
+        ckpt = load_checkpoint(str(run / "stage1" / "final"))
+        ckpt.tensors["pos_embed"] = ckpt.tensors["pos_embed"][:4]
+        ckpt.config["model"]["max_positions"] = 4
+        short = tmp_path / "short_stage1"
+        save_checkpoint(str(short), ckpt.tensors, ckpt.config, ckpt.step)
+        text = cfg.read_text() + f"paths.data = {run / 'data'}\npaths.stage1 = {short}\n"
+        out = tmp_path / "x"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "records of 8 patches" in err and "max_positions = 4" in err
+        assert not out.exists()
+
     def test_bad_threads_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CODEBRAIN_THREADS", "many")
         assert run_cli("bench", "--out", str(tmp_path / "x")) == 2
@@ -287,6 +334,18 @@ class TestPrerequisites:
         assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 3
         assert "conv0/bn/running_mean" in capsys.readouterr().err
 
+    def test_stage1_config_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys):
+        out, cfg = pipeline
+        ckpt = load_checkpoint(str(out / "stage1" / "final"))
+        ckpt.config["model"]["enc_layers"] = "1"
+        bad = tmp_path / "bad_stage1"
+        save_checkpoint(str(bad), ckpt.tensors, ckpt.config, ckpt.step)
+        text = cfg.read_text() + f"paths.data = {out / 'data'}\npaths.stage1 = {bad}\n"
+        x = tmp_path / "x"
+        assert run_cli("train-ssm", "--config", str(_write_cfg(tmp_path, text)), "--out", str(x)) == 3
+        assert "unusable" in capsys.readouterr().err
+        assert not x.exists()
+
     @pytest.mark.parametrize(
         "name, damage",
         [
@@ -302,11 +361,14 @@ class TestPrerequisites:
             ],
             ("manifest.json", lambda p: _edit_manifest(p, lambda m: m["splits"]["train"].append(10**6))),
             ("manifest.json", lambda p: _edit_manifest(p, lambda m: m["labels"].pop())),
+            ("record_0003.bin.json", lambda p: p.write_text("{}")),
+            ("record_0003.bin.json", lambda p: p.write_text('{"channels": 5}')),
         ],
         ids=[
             "truncated_record", "deleted_record", "bad_magic", "unparsable_manifest",
             "empty_manifest", "list_manifest", "no_files", "no_labels", "no_splits",
             "split_index_out_of_range", "label_count_mismatch",
+            "empty_sidecar", "sidecar_channels_not_a_list",
         ],
     )
     def test_damaged_dataset_rejected(self, pipeline, tmp_path, capsys, name, damage):

@@ -1,6 +1,8 @@
 """Every name a module imports is used in that module, every name in a
-module's `__all__` is bound in it, and only the CLI and the training loop
-import `csv`: the CLI writes every run table, `pretrain` its history.
+module's `__all__` is bound in it, only the CLI and the training loop
+import `csv` (the CLI writes every run table, `pretrain` its history), and
+only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
+state tree is read from its attributes.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
@@ -93,3 +95,25 @@ def test_checker_finds_imports_inside_functions():
 def test_only_cli_and_pretrain_import_csv():
     importers = sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py") if imports_module(p.read_text(), "csv"))
     assert importers == ["cli.py", "pretrain.py"]
+
+
+def classes_defining(source: str, method: str) -> list[str]:
+    """Names of the classes, at any depth, whose own body defines `method`."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == method for item in node.body)
+    ]
+
+
+def test_checker_finds_method_definitions():
+    source = "class A:\n    def children(self):\n        pass\nclass B(A):\n    children = None\n"
+    assert classes_defining(source, "children") == ["A"]
+
+
+def test_only_module_and_adamw_define_children():
+    found = sorted(
+        f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "children")
+    )
+    assert found == ["nn.py:Module", "pretrain.py:AdamW"]

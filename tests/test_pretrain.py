@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from codebrain import pretrain
+from codebrain import nn, pretrain
 from codebrain.numerics import Tensor, backward
 from codebrain.pretrain import (
     AdamW,
@@ -381,7 +381,7 @@ def _reachable_params(obj, seen=None) -> list[Tensor]:
 @each_model
 class TestStateTree:
     def test_every_reachable_param_named_once(self, build):
-        # a Tensor left out of children() would never be trained, clipped or saved
+        # a Tensor the state tree missed would never be trained, clipped or saved
         model = build(np.random.default_rng(0))
         named = [id(t) for t in model.named_params().values()]
         assert len(named) == len(set(named))
@@ -398,6 +398,98 @@ class TestStateTree:
         for k, v in snapshot.items():
             np.testing.assert_array_equal(v, before[k], err_msg=k)
         assert all(not np.array_equal(p.data, before[k]) for k, p in params.items())
+
+
+def _linear(*prefixes):
+    return [f"{p}/{x}" for p in prefixes for x in ("w", "b")]
+
+
+def _norm(p):
+    return [f"{p}/gamma", f"{p}/beta"]
+
+
+def _transformer(p):
+    """A one-layer nn.TransformerEncoder's parameter names."""
+    layer = f"{p}/layer0"
+    return [
+        *_norm(f"{layer}/ln1"), *_linear(*(f"{layer}/attn/{x}" for x in "qkvo")),
+        *_norm(f"{layer}/ln2"), *_linear(f"{layer}/fc1", f"{layer}/fc2"), *_norm(f"{p}/ln"),
+    ]
+
+
+# the checkpoint format: ordered (parameter names, buffer names) of each tiny model
+STATE_NAMES = {
+    "TokenizerModel": (
+        [
+            *_linear("conv0"), *_norm("conv0/bn"), *_linear("conv1"), *_norm("conv1/bn"),
+            *_linear("freq_proj", "input_proj"), "pos_embed", *_transformer("encoder"), *_linear("down"),
+            "codebook_t/codes", "codebook_f/codes", *_linear("up_t", "up_f"),
+            *_transformer("f_decoder"), *_transformer("t_decoder"),
+            *_linear("f_head_amp", "f_head_phase", "t_head"),
+        ],
+        [
+            "conv0/bn/running_mean", "conv0/bn/running_var", "conv1/bn/running_mean", "conv1/bn/running_var",
+            "codebook_t/usage", "codebook_f/usage",
+        ],
+    ),
+    "EegssmModel": (
+        [
+            *_linear("embed"), "mask_embed", "block0/rms_scale", "block0/sgconv/weights",
+            *_linear(*(f"block0/swa/{x}" for x in "qkvo")),
+            *_linear(*(f"block0/gate/{x}" for x in ("wf", "wg", "out1", "out2"))),
+            *_linear("head_t", "head_f"),
+        ],
+        [],
+    ),
+    "ProbeHead": (_linear("layer1", "layer2", "layer3"), []),
+}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+class TestStateNames:
+    def test_state_dict_names(self, name):
+        params, buffers = STATE_NAMES[name]
+        model = MODELS[name](np.random.default_rng(0))
+        assert list(model.named_params()) == params
+        assert list(model.named_buffers()) == buffers
+        assert list(model.state_dict()) == params + buffers
+
+    def test_adamw_names(self, name):
+        params, _ = STATE_NAMES[name]
+        opt = AdamW(MODELS[name](np.random.default_rng(0)).named_params())
+        expected = ["adam/t", *(f"adam/m/{p}" for p in params), *(f"adam/v/{p}" for p in params)]
+        assert list(opt.state_dict()) == expected
+
+
+class _Toy(nn.Module):
+    def __init__(self, rng):
+        self.config = ProbeConfig()
+        self.w = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        self.width = 2
+        self.stats = np.zeros(2, dtype=np.float32)
+        self.layers = [nn.Linear(2, 2, rng), nn.LayerNorm(2)]
+        self.rate = 0.5
+        self.head = nn.Linear(2, 1, rng)
+
+
+class TestDerivedChildren:
+    def test_attributes_give_the_tree_in_assignment_order(self):
+        toy = _Toy(np.random.default_rng(0))
+        assert list(toy.children()) == ["w", "stats", "layer0", "layer1", "head"]
+        assert list(toy.named_params()) == ["w", "layer0/w", "layer0/b", "layer1/gamma", "layer1/beta", "head/w", "head/b"]
+        assert list(toy.named_buffers()) == ["stats"]
+
+    def test_reassigned_buffer_keeps_its_place(self):
+        toy = _Toy(np.random.default_rng(0))
+        before = list(toy.state_dict())
+        toy.stats = np.ones(2, dtype=np.float32)
+        assert list(toy.state_dict()) == before
+        np.testing.assert_array_equal(toy.state_dict()["stats"], np.ones(2))
+
+    def test_batch_norm_running_stats_keep_their_place(self):
+        bn = nn.BatchNorm1d(3)
+        bn(Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)).astype(np.float32)), train=True)
+        assert list(bn.state_dict()) == ["gamma", "beta", "running_mean", "running_var"]
 
 
 @each_state

@@ -93,6 +93,18 @@ class TestFileRoundTrip:
         with pytest.raises(OSError):
             load_record(p)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", '{"channels": 5}', "[]", '{"channels": ["a"]}', '{"channels": ["a", 2]}', '{"channels": '],
+        ids=["empty", "not_a_list", "not_an_object", "too_few", "not_strings", "unparsable"],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, text):
+        p = tmp_path / "rec.eeg"
+        save_record(make_record(c=2), p)
+        (tmp_path / "rec.eeg.json").write_text(text)
+        with pytest.raises(RecordFormatError, match="rec.eeg.json"):
+            load_record(p)
+
     def test_missing_sidecar_gets_default_names(self, tmp_path):
         p = tmp_path / "rec.eeg"
         save_record(make_record(c=2), p)

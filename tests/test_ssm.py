@@ -533,6 +533,11 @@ class TestEegssmModel:
         with pytest.raises(ValueError):
             EegssmConfig(window=0)
 
+    @pytest.mark.parametrize("name", ["features", "patch_len", "codebook_size"])
+    def test_empty_width_raises(self, name):
+        with pytest.raises(ValueError, match=name):
+            EegssmConfig(**{name: 0})
+
     @pytest.mark.parametrize("p_drop", [1.5, 1.0, -0.1])
     def test_dropout_out_of_range_raises(self, p_drop):
         with pytest.raises(ValueError, match="dropout"):

@@ -63,6 +63,20 @@ def nearest_bruteforce(queries, codes):
     return d2.argmin(axis=1)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            *[({name: 0}, name) for name in ("hidden", "heads", "mlp_dim", "max_positions")],
+            ({"hidden": 8, "heads": 3}, "not divisible"),
+        ],
+        ids=["hidden", "heads", "mlp_dim", "max_positions", "indivisible_heads"],
+    )
+    def test_invalid_width_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kw)
+
+
 class TestQuantize:
     def test_obvious_nearest(self):
         rng = np.random.default_rng(0)
