@@ -22,7 +22,11 @@ every table goes through `_write_csv`; the `_*_table` helpers lay out the
 usage, metrics, confusion and bench tables.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing or damaged
-prerequisite, 4 numeric divergence.
+prerequisite, 4 numeric divergence. Records are checked before a command
+writes: too many patches (channels x windows) for ``tokenizer.max_positions``
+or ``model.kernel_len``, or a length ``tokenizer.patch_len`` does not divide,
+is exit 2; a damaged record, one over 100 uV, or an empty split the command
+needs (train; val and test too for ``probe``) is exit 3.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .pretrain import (
     train_tokenizer,
 )
 from .probe import ProbeConfig, extract_features, train_probe_on_features
-from .signal import EegRecord, GeneratorSpec, PatchGrid
+from .signal import GeneratorSpec, PatchGrid
 from .ssm import EegssmConfig, EegssmModel, bench_backbones
 from .tokenizer import TokenizerConfig, TokenizerModel, class_specific_ratio, tokenize
 
@@ -188,16 +192,13 @@ def _build_dataclass(cls, section: str, run: RunConfig, **overrides):
         if name not in defaults:
             continue  # extra keys like probe.seeds are consumed elsewhere
         kwargs[name] = _convert(raw, defaults[name], f"{section}.{name}")
+    if run.seed is not None and "seed" in defaults:
+        kwargs["seed"] = run.seed
     kwargs.update(overrides)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid [{section}] configuration: {exc}") from None
-
-
-def _train_config(run: RunConfig, section: str) -> TrainConfig:
-    overrides = {"seed": run.seed} if run.seed is not None else {}
-    return _build_dataclass(TrainConfig, section, run, **overrides)
 
 
 def _generator_spec(run: RunConfig) -> GeneratorSpec:
@@ -261,7 +262,13 @@ def _manifest_problem(info) -> str | None:
     return None
 
 
-def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
+def _load_dataset(
+    run: RunConfig, patch_len: int, limits: dict[str, int], needs: tuple[str, ...] = ()
+) -> tuple[list[PatchGrid], dict]:
+    """Every dataset record, preprocessed and cut into `patch_len`-sample
+    windows, and the manifest, checked as the module docstring says: `limits`
+    maps config keys to the most patches a record may have, and every split
+    in `needs` must be non-empty."""
     data_dir = run.path("data", "data")
     manifest = data_dir / "manifest.json"
     if not manifest.is_file():
@@ -273,32 +280,25 @@ def _load_corpus(run: RunConfig) -> tuple[list[EegRecord], dict]:
     problem = _manifest_problem(info)
     if problem:
         raise PrerequisiteError(f"the dataset manifest {manifest} is unusable: {problem}")
-    records = []
+    for split in needs:
+        if not info["splits"][split]:
+            raise PrerequisiteError(f"the {split} split of {manifest} is empty")
+    grids = []
     for name in info["files"]:
+        path = data_dir / name
         try:
-            records.append(signal.load_record(data_dir / name))
+            rec = signal.preprocess(signal.load_record(path))
         except (OSError, ValueError) as exc:
-            raise PrerequisiteError(f"the dataset record {data_dir / name} is unusable: {exc}") from None
-    return records, info
-
-
-def _grids(records: list[EegRecord], patch_len: int) -> list[PatchGrid]:
-    out = []
-    for rec in records:
-        sec = patch_len / rec.sample_rate
-        out.append(signal.patch(signal.preprocess(rec), patch_seconds=sec))
-    return out
-
-
-def _check_positions(grids: list[PatchGrid], config: TokenizerConfig) -> None:
-    """The tokenizer embeds each of a record's channels x windows patches at
-    its own position; a record longer than its position table is a ConfigError."""
+            raise PrerequisiteError(f"the dataset record {path} is unusable: {exc}") from None
+        try:
+            grids.append(signal.patch(rec, patch_seconds=patch_len / rec.sample_rate))
+        except ValueError as exc:
+            raise ConfigError(f"tokenizer.patch_len = {patch_len} does not fit {path}: {exc}") from None
     longest = max((g.patches.shape[0] * g.patches.shape[1] for g in grids), default=0)
-    if longest > config.max_positions:
-        raise ConfigError(
-            f"records of {longest} patches (channels x windows) exceed "
-            f"tokenizer.max_positions = {config.max_positions}"
-        )
+    for key, limit in limits.items():
+        if longest > limit:
+            raise ConfigError(f"records of {longest} patches (channels x windows) exceed {key} = {limit}")
+    return grids, info
 
 
 _STAGES = {
@@ -388,13 +388,11 @@ def cmd_gen_data(run: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
     tok_cfg = _build_dataclass(TokenizerConfig, "tokenizer", run)
-    train_cfg = _train_config(run, "stage1")
-    records, info = _load_corpus(run)
-    train_idx = info["splits"]["train"]
-    grids = _grids([records[i] for i in train_idx], tok_cfg.patch_len)
-    if not grids:
-        raise PrerequisiteError("training split is empty")
-    _check_positions(grids, tok_cfg)
+    train_cfg = _build_dataclass(TrainConfig, "stage1", run)
+    grids, info = _load_dataset(
+        run, tok_cfg.patch_len, {"tokenizer.max_positions": tok_cfg.max_positions}, needs=("train",)
+    )
+    grids = [grids[i] for i in info["splits"]["train"]]
 
     out_dir = run.out / "stage1"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,17 +406,15 @@ def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_ssm(run: RunConfig, args: argparse.Namespace) -> int:
-    train_cfg = _train_config(run, "stage2")
+    train_cfg = _build_dataclass(TrainConfig, "stage2", run)
     tok_model = _load_model(run, "stage1")
     model_cfg = _build_dataclass(
         EegssmConfig, "model", run,
         patch_len=tok_model.config.patch_len, codebook_size=tok_model.config.codebook_size,
     )
-    records, info = _load_corpus(run)
-    train_idx = info["splits"]["train"]
-    grids = _grids([records[i] for i in train_idx], model_cfg.patch_len)
-    _check_positions(grids, tok_model.config)
-    data = [(g, tokenize(tok_model, g)) for g in grids]
+    limits = {"tokenizer.max_positions": tok_model.config.max_positions, "model.kernel_len": model_cfg.kernel_len}
+    grids, info = _load_dataset(run, model_cfg.patch_len, limits, needs=("train",))
+    data = [(grids[i], tokenize(tok_model, grids[i])) for i in info["splits"]["train"]]
 
     out_dir = run.out / "stage2"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,18 +439,19 @@ def _shuffled_copy(labels: np.ndarray, splits: dict[str, np.ndarray], seed: int)
 
 
 def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
-    overrides = {"seed": run.seed} if run.seed is not None else {}
-    probe_cfg = _build_dataclass(ProbeConfig, "probe", run, **overrides)
+    probe_cfg = _build_dataclass(ProbeConfig, "probe", run)
     n_seeds = _convert(run.values["probe.seeds"], 1, "probe.seeds")
     shuffled = _convert(run.values["probe.shuffled"], True, "probe.shuffled")
     if n_seeds < 1:
         raise ConfigError("probe.seeds must be positive")
 
     backbone = _load_model(run, "stage2")
-    records, info = _load_corpus(run)
+    grids, info = _load_dataset(
+        run, backbone.config.patch_len, {"model.kernel_len": backbone.config.kernel_len},
+        needs=("train", "val", "test"),
+    )
     labels = np.array(info["labels"], dtype=np.int64)
     n_classes = int(labels.max()) + 1
-    grids = _grids(records, backbone.config.patch_len)
     features = extract_features(backbone, grids)  # backbone stays frozen
     splits = {k: np.array(v, dtype=np.intp) for k, v in info["splits"].items()}
 
@@ -594,9 +591,9 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"analyze.tau must be in (0, 1], got {tau}")
     tok_model = _load_model(run, "stage1")
-    records, info = _load_corpus(run)
-    grids = _grids(records, tok_model.config.patch_len)
-    _check_positions(grids, tok_model.config)
+    grids, info = _load_dataset(
+        run, tok_model.config.patch_len, {"tokenizer.max_positions": tok_model.config.max_positions}
+    )
     histories = {stage: _read_history(run, stage) for stage in _HISTORY_PLOTS}
     out_dir = run.out / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)

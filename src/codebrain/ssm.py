@@ -451,6 +451,8 @@ def bench_backbones(
     attention, only run up to `attention_max_len` to bound its quadratic
     score matrix).
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     for s in seq_lens:
         if s & (s - 1):
             raise ValueError(f"sequence lengths must be powers of two, got {s}")

@@ -19,7 +19,7 @@ import pytest
 
 import codebrain.cli as cli
 from codebrain.pretrain import DivergenceError, load_checkpoint, save_checkpoint
-from codebrain.signal import load_record
+from codebrain.signal import load_record, save_record
 
 TINY_CFG = """
 data.channels = 2
@@ -166,6 +166,20 @@ def _write_cfg(tmp_path, text, name="override.cfg"):
     return path
 
 
+def _with_keys(text, keys):
+    """Config `text` with every key of `keys` set to its value, in place of
+    any line that already sets it."""
+    kept = [line for line in text.splitlines() if line.split(" = ")[0] not in keys]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()])
+
+
+def _add_spike(data_dir):
+    path = data_dir / "record_0003.bin"
+    rec = load_record(path)
+    rec.samples[0, 5] = 150.0  # microvolts, over the 100 uV limit
+    save_record(rec, path)
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "tokenizer.hiden = 16")
@@ -202,6 +216,14 @@ class TestConfigValidation:
     def test_non_power_of_two_bench_size_rejected(self, tmp_path):
         cfg = _write_cfg(tmp_path, "bench.sizes = 48,64")
         assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_repeats_below_one_rejected(self, tmp_path, capsys, repeats):
+        cfg = _write_cfg(tmp_path, f"bench.sizes = 16\nbench.base = 4\nbench.repeats = {repeats}")
+        out = tmp_path / "x"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()  # no bench.csv of nan wall times
 
     @pytest.mark.parametrize(
         "text",
@@ -386,6 +408,40 @@ class TestPrerequisites:
             assert str(data / name) in capsys.readouterr().err, command
             assert not x.exists(), command  # nothing written
 
+    @pytest.mark.parametrize(
+        "command, keys, corpus_keys, damage, code, message",
+        [
+            ("train-ssm", {"model.kernel_len": "4"}, {}, None, 2, "model.kernel_len = 4"),
+            ("probe", {}, {"data.duration": "8"}, None, 2, "records of 16 patches"),
+            ("train-tokenizer", {"tokenizer.patch_len": "24"}, {}, None, 2, "tokenizer.patch_len = 24"),
+            ("analyze", {}, {}, _add_spike, 3, "record_0003.bin"),
+            ("train-ssm", {}, {"split.train": "0.0", "split.val": "0.5", "split.test": "0.5"}, None, 3, "train split"),
+            ("probe", {}, {"split.train": "0.6", "split.val": "0.0", "split.test": "0.4"}, None, 3, "val split"),
+        ],
+        ids=["kernel_len", "records_longer_than_backbone", "patch_len", "over_100_uv", "empty_train", "empty_val"],
+    )
+    def test_unreadable_dataset_rejected_before_writing(
+        self, pipeline, tmp_path, capsys, command, keys, corpus_keys, damage, code, message
+    ):
+        run, cfg = pipeline
+        text = _with_keys(cfg.read_text(), {**keys, **corpus_keys})
+        data = tmp_path / "corpus" / "data"
+        if corpus_keys:
+            gen_cfg = _write_cfg(tmp_path, text, name="corpus.cfg")
+            assert run_cli("gen-data", "--seed", "7", "--config", str(gen_cfg), "--out", str(tmp_path / "corpus")) == 0
+        else:
+            shutil.copytree(run / "data", data)
+        if damage is not None:
+            damage(data)
+        text += (
+            f"\npaths.data = {data}\npaths.stage1 = {run / 'stage1' / 'final'}\n"
+            f"paths.stage2 = {run / 'stage2' / 'final'}"
+        )
+        out = tmp_path / "x"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):
             raise DivergenceError("non-finite loss at step 3")
@@ -416,6 +472,25 @@ class TestTrainingArtifacts:
         assert manifest["config"]["model"]["codebook_size"] == 16
         header = (out / "stage2" / "history_stage2.csv").read_text().splitlines()[0]
         assert header == "step,lr,loss,acc_t,acc_f"
+
+    def test_seed_flag_reaches_every_stage_seed(self, pipeline, tmp_path, monkeypatch):
+        run, cfg = pipeline
+        probe_seeds = []
+        train_probe = cli.train_probe_on_features
+
+        def spy(train, val, test, config, **kwargs):
+            probe_seeds.append(config.seed)
+            return train_probe(train, val, test, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train_probe_on_features", spy)
+        text = cfg.read_text() + f"paths.data = {run / 'data'}"
+        base = ["--seed", "5", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")]
+        for command in ("train-tokenizer", "train-ssm", "probe"):
+            assert run_cli(command, *base) == 0, command
+        for stage in ("stage1", "stage2"):
+            manifest = json.loads((tmp_path / "x" / stage / "final" / "manifest.json").read_text())
+            assert manifest["config"]["train"]["seed"] == 5, stage
+        assert probe_seeds == [5, 6]  # seed s of probe.seeds = 2 runs at --seed + s
 
     def test_paper_preset_echoed_in_manifest(self, tmp_path):
         # smallest possible run that still writes a full-scale manifest

@@ -2,7 +2,8 @@
 module's `__all__` is bound in it, only the CLI and the training loop
 import `csv` (the CLI writes every run table, `pretrain` its history), and
 only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
-state tree is read from its attributes.
+state tree is read from its attributes, and one CLI function loads,
+preprocesses and patches every dataset record.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
@@ -117,3 +118,39 @@ def test_only_module_and_adamw_define_children():
         f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "children")
     )
     assert found == ["nn.py:Module", "pretrain.py:AdamW"]
+
+
+def callers(source: str, dotted: str) -> list[str]:
+    """Names of the functions that call `dotted` (``module.name``); a call is
+    owned by the innermost function around it, or by ``<module>``."""
+    module, _, attr = dotted.partition(".")
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == module
+            ):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_checker_finds_callers():
+    source = "def f():\n    m.g(1)\ndef h():\n    def inner():\n        return m.g\n    return inner\nm.g()\n"
+    assert callers(source, "m.g") == ["<module>", "f"]
+
+
+def test_one_cli_function_loads_preprocesses_and_patches_records():
+    source = (SRC / "cli.py").read_text()
+    names = ("signal.load_record", "signal.preprocess", "signal.patch")
+    assert {name: callers(source, name) for name in names} == {name: ["_load_dataset"] for name in names}
