@@ -22,11 +22,16 @@ every table goes through `_write_csv`; the `_*_table` helpers lay out the
 usage, metrics, confusion and bench tables.
 
 Exit codes: 0 success, 2 invalid configuration, 3 missing or damaged
-prerequisite, 4 numeric divergence. Records are checked before a command
-writes: too many patches (channels x windows) for ``tokenizer.max_positions``
-or ``model.kernel_len``, or a length ``tokenizer.patch_len`` does not divide,
-is exit 2; a damaged record, one over 100 uV, or an empty split the command
-needs (train; val and test too for ``probe``) is exit 3.
+prerequisite, 4 numeric divergence. The ``data``, ``tokenizer``, ``model``,
+``stage1``, ``stage2`` and ``probe`` sections each go through
+`_build_dataclass` into a config dataclass that checks its own values, so a
+bad value there (a ``data.duration`` of 2.5 s, say) is exit 2 before a
+command writes. Records are checked before a command writes: too many
+patches (channels x windows) for ``tokenizer.max_positions`` or
+``model.kernel_len``, or a length ``tokenizer.patch_len`` does not divide,
+is exit 2; a damaged record, one over 100 uV, an empty split the command
+needs (train; val and test too for ``probe``) or a manifest that lists no
+records is exit 3.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .pretrain import (
     train_tokenizer,
 )
 from .probe import ProbeConfig, extract_features, train_probe_on_features
-from .signal import GeneratorSpec, PatchGrid
+from .signal import Band, ClassSpec, GeneratorSpec, PatchGrid
 from .ssm import EegssmConfig, EegssmModel, bench_backbones
 from .tokenizer import TokenizerConfig, TokenizerModel, class_specific_ratio, tokenize
 
@@ -89,19 +94,29 @@ class PrerequisiteError(RuntimeError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``section.key = value`` lines; '#' starts a comment."""
-    try:
-        values = signal.parse_key_values(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    for key in values:
+    """Flat ``section.key = value`` lines in file order; blank lines and
+    lines starting with '#' are skipped. A line without '=', a repeated key
+    or a key without a section raises ConfigError naming the line."""
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         if "." not in key:
-            raise ConfigError(f"keys are dotted section.name pairs, got {key!r}")
+            raise ConfigError(f"line {lineno}: keys are dotted section.name pairs, got {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 
-_GENERATOR_SCALARS = {f.name for f in dataclasses.fields(GeneratorSpec)} - {"classes"}
+# beyond its fields, [data] takes one class.<name>.bands key per class
 _SECTION_FIELDS = {
+    "data": {f.name for f in dataclasses.fields(GeneratorSpec)} - {"classes"},
     "tokenizer": {f.name for f in dataclasses.fields(TokenizerConfig)},
     "model": {f.name for f in dataclasses.fields(EegssmConfig)} - {"patch_len", "codebook_size"},
     "stage1": {f.name for f in dataclasses.fields(TrainConfig)},
@@ -117,17 +132,11 @@ _SECTION_FIELDS = {
 def _validate_keys(values: dict[str, str]) -> None:
     for key in values:
         section, _, name = key.partition(".")
-        if section == "data":
-            good = name in _GENERATOR_SCALARS or (
-                name.startswith("class.") and name.endswith(".bands")
-            )
-            if not good:
-                raise ConfigError(f"unknown data key {key!r}")
-        elif section in _SECTION_FIELDS:
-            if name not in _SECTION_FIELDS[section]:
-                raise ConfigError(f"unknown key {key!r}")
-        else:
+        if section not in _SECTION_FIELDS:
             raise ConfigError(f"unknown config section {section!r} in {key!r}")
+        is_class = section == "data" and name.startswith("class.") and name.endswith(".bands")
+        if name not in _SECTION_FIELDS[section] and not is_class:
+            raise ConfigError(f"unknown key {key!r}")
 
 
 @dataclasses.dataclass
@@ -201,12 +210,33 @@ def _build_dataclass(cls, section: str, run: RunConfig, **overrides):
         raise ConfigError(f"invalid [{section}] configuration: {exc}") from None
 
 
+def _parse_bands(raw: str) -> tuple[Band, ...]:
+    out = []
+    for part in raw.split(","):
+        part = part.strip()
+        rng_part, _, amp = part.partition(":")
+        lo, _, hi = rng_part.partition("-")
+        try:
+            out.append(Band(low=float(lo), high=float(hi), amplitude=float(amp)))
+        except ValueError:
+            raise ValueError(f"bad band {part!r}; expected low-high:amplitude") from None
+    return tuple(out)
+
+
 def _generator_spec(run: RunConfig) -> GeneratorSpec:
-    # sorted, so classes take label ids in name order whatever the key order
+    """The [data] section as a corpus recipe. Each ``class.<name>.bands``
+    value lists low-high:amplitude triples, e.g. ``class.alpha.bands =
+    8-12:40``; classes take label ids in sorted key order, whatever the
+    order of the file."""
     try:
-        return signal.generator_spec(dict(sorted(run.section("data").items())))
+        classes = tuple(
+            ClassSpec(name=key[len("class."):-len(".bands")], bands=_parse_bands(value))
+            for key, value in sorted(run.section("data").items())
+            if key.startswith("class.")
+        )
     except ValueError as exc:
         raise ConfigError(f"invalid [data] configuration: {exc}") from None
+    return _build_dataclass(GeneratorSpec, "data", run, classes=classes)
 
 
 # ---- artifacts -------------------------------------------------------------------
@@ -250,6 +280,8 @@ def _manifest_problem(info) -> str | None:
     files, labels, splits = info["files"], info["labels"], info["splits"]
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         return "files is not a list of names"
+    if not files:
+        return "files lists no records"
     if not isinstance(labels, list) or len(labels) != len(files) or not all(
         type(y) is int and y >= 0 for y in labels
     ):

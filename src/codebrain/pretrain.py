@@ -116,8 +116,8 @@ class TrainConfig:
             raise ValueError("mask ratio must be in (0, 1)")
         if self.clip_norm <= 0:
             raise ValueError("clip norm must be positive")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ValueError("betas must be in [0, 1)")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {self.betas}")
 
 
 def cosine_lr(step: int, total_steps: int, peak: float, minimum: float) -> float:

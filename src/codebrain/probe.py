@@ -208,8 +208,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("steps, batch_size and eval_every must be positive")
+        for name in ("hidden", "compress", "steps", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

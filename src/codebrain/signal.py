@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,7 @@ __all__ = [
     "PatchGrid",
     "RecordFormatError",
     "freq_features",
-    "generator_spec",
     "load_record",
-    "parse_key_values",
     "patch",
     "preprocess",
     "save_record",
@@ -264,7 +262,14 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for a labeled synthetic corpus: per-class band mixtures + noise."""
+    """Recipe for a labeled synthetic corpus: per-class band mixtures + noise.
+
+    Construction raises ValueError unless the corpus has two or more named
+    classes, whole seconds and positive counts, every band lies within
+    [0, Nyquist] with a positive amplitude, and each class's amplitudes plus
+    6 sigma of noise stay under the preprocess amplitude limit, so that
+    preprocess never rejects a generated record.
+    """
 
     classes: tuple[ClassSpec, ...]
     channels: int = 4
@@ -273,39 +278,44 @@ class GeneratorSpec:
     noise_sigma: float = 4.0
     records_per_class: int = 100
 
-
-def _validate_generator_spec(spec: GeneratorSpec) -> None:
-    if len(spec.classes) < 2:
-        raise ValueError("generator needs at least 2 classes")
-    if spec.channels < 1:
-        raise ValueError("generator needs at least 1 channel")
-    if spec.records_per_class < 1:
-        raise ValueError("records_per_class must be positive")
-    if spec.noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
-    nyquist = spec.sample_rate / 2.0
-    for cs in spec.classes:
-        if not cs.bands:
-            raise ValueError(f"class {cs.name!r} has no bands")
-        total = 0.0
-        for b in cs.bands:
-            if not 0.0 <= b.low <= b.high:
-                raise ValueError(f"class {cs.name!r}: bad band edges {b.low}-{b.high}")
-            if b.high > nyquist:
+    def __post_init__(self) -> None:
+        if len(self.classes) < 2:
+            raise ValueError("generator needs at least 2 classes")
+        if self.channels < 1:
+            raise ValueError("generator needs at least 1 channel")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        if not 0 < self.duration < np.inf or round(self.sample_rate * self.duration) % self.sample_rate:
+            raise ValueError(f"duration must be a positive whole number of seconds, got {self.duration}")
+        if self.records_per_class < 1:
+            raise ValueError("records_per_class must be positive")
+        if not self.noise_sigma >= 0:  # NaN too
+            raise ValueError("noise_sigma must be non-negative")
+        nyquist = self.sample_rate / 2.0
+        for cs in self.classes:
+            if not cs.name:
+                raise ValueError("every class needs a name")
+            if not cs.bands:
+                raise ValueError(f"class {cs.name!r} has no bands")
+            total = 0.0
+            for b in cs.bands:
+                if not 0.0 <= b.low <= b.high:
+                    raise ValueError(f"class {cs.name!r}: bad band edges {b.low}-{b.high}")
+                if b.high > nyquist:
+                    raise ValueError(
+                        f"class {cs.name!r}: band edge {b.high} Hz exceeds the "
+                        f"Nyquist frequency {nyquist} Hz"
+                    )
+                if not b.amplitude > 0:  # NaN too
+                    raise ValueError(f"class {cs.name!r}: amplitude must be positive")
+                total += b.amplitude
+            # keep ~6 sigma of noise headroom so preprocess never rejects a record
+            if total + 6.0 * self.noise_sigma > AMPLITUDE_LIMIT_UV:
                 raise ValueError(
-                    f"class {cs.name!r}: band edge {b.high} Hz exceeds the "
-                    f"Nyquist frequency {nyquist} Hz"
+                    f"class {cs.name!r}: band amplitudes plus noise headroom "
+                    f"({total} + 6*{self.noise_sigma}) exceed the "
+                    f"{AMPLITUDE_LIMIT_UV:.0f} uV amplitude limit"
                 )
-            if b.amplitude <= 0:
-                raise ValueError(f"class {cs.name!r}: amplitude must be positive")
-            total += b.amplitude
-        # keep ~6 sigma of noise headroom so preprocess never rejects a record
-        if total + 6.0 * spec.noise_sigma > AMPLITUDE_LIMIT_UV:
-            raise ValueError(
-                f"class {cs.name!r}: band amplitudes plus noise headroom "
-                f"({total} + 6*{spec.noise_sigma}) exceed the "
-                f"{AMPLITUDE_LIMIT_UV:.0f} uV amplitude limit"
-            )
 
 
 def synth_generate(spec: GeneratorSpec, seed: int) -> list[EegRecord]:
@@ -315,10 +325,7 @@ def synth_generate(spec: GeneratorSpec, seed: int) -> list[EegRecord]:
     uniformly drawn in-band frequency with a uniform random phase, plus white
     Gaussian noise. Identical (spec, seed) pairs give bit-identical output.
     """
-    _validate_generator_spec(spec)
     s = int(round(spec.sample_rate * spec.duration))
-    if s % spec.sample_rate:
-        raise ValueError("duration must be a whole number of seconds")
     t = np.arange(s) / spec.sample_rate
     names = default_channel_names(spec.channels)
     records = []
@@ -371,66 +378,3 @@ def split_stratified(
         np.sort(np.array(val, dtype=np.intp)),
         np.sort(np.array(test, dtype=np.intp)),
     )
-
-
-# ---- generator spec as key=value text ---------------------------------------
-
-
-def parse_key_values(text: str) -> dict[str, str]:
-    """`key = value` lines in file order; blank lines and lines starting
-    with '#' are skipped. A line without '=' or a repeated key raises
-    ValueError naming the line."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _parse_bands(raw: str) -> tuple[Band, ...]:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        rng_part, _, amp = part.partition(":")
-        lo, _, hi = rng_part.partition("-")
-        try:
-            out.append(Band(low=float(lo), high=float(hi), amplitude=float(amp)))
-        except ValueError:
-            raise ValueError(f"bad band {part!r}; expected low-high:amplitude") from None
-    return tuple(out)
-
-
-def generator_spec(values: dict[str, str]) -> GeneratorSpec:
-    """Build a GeneratorSpec from generator keys and their string values.
-
-    The keys are GeneratorSpec's scalar fields (channels, sample_rate,
-    duration, noise_sigma, records_per_class; absent ones keep their
-    defaults) and one `class.<name>.bands` entry per class, whose value is a
-    comma-separated list of low-high:amplitude triples, e.g.
-    `class.alpha.bands = 8-12:40`. Classes take label ids in the order of
-    `values`.
-    """
-    defaults = {f.name: f.default for f in fields(GeneratorSpec) if f.name != "classes"}
-    scalars = {}
-    classes = []
-    for key, value in values.items():
-        if key.startswith("class.") and key.endswith(".bands"):
-            name = key[len("class.") : -len(".bands")]
-            if not name:
-                raise ValueError(f"empty class name in {key!r}")
-            classes.append(ClassSpec(name=name, bands=_parse_bands(value)))
-        elif key in defaults:
-            scalars[key] = type(defaults[key])(value)  # int or float, as the default
-        else:
-            raise ValueError(f"unknown generator key {key!r}")
-    spec = GeneratorSpec(classes=tuple(classes), **scalars)
-    _validate_generator_spec(spec)
-    return spec

@@ -79,6 +79,14 @@ class TokenizerConfig:
             raise ValueError("codebook dimensions must be positive")
         if not (len(self.conv_channels) == len(self.conv_kernels) == len(self.conv_strides) == len(self.conv_pads)):
             raise ValueError("conv stage tuples must have equal length")
+        if not self.conv_channels:
+            raise ValueError("the convolution stack needs at least one stage")
+        for name in ("conv_channels", "conv_kernels", "conv_strides"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must all be >= 1, got {getattr(self, name)}")
+        if min(self.conv_pads) < 0:
+            raise ValueError(f"conv_pads must all be >= 0, got {self.conv_pads}")
+        self.conv_out_len()
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 

@@ -19,7 +19,7 @@ import pytest
 
 import codebrain.cli as cli
 from codebrain.pretrain import DivergenceError, load_checkpoint, save_checkpoint
-from codebrain.signal import load_record, save_record
+from codebrain.signal import Band, load_record, save_record
 
 TINY_CFG = """
 data.channels = 2
@@ -153,6 +153,60 @@ class TestGenData:
         assert run_cli("gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert "Nyquist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("data.duration = 4", "data.duration = 2.5"),
+            ("data.duration = 4", "data.duration = 0"),
+            ("data.duration = 4", "data.duration = -4"),
+            ("data.noise_sigma = 1.0", "data.noise_sigma = nan"),
+            ("bands = 2-4:10", "bands = 2-4:nan"),
+        ],
+    )
+    def test_bad_data_value_rejected_before_writing(self, tmp_path, capsys, old, new):
+        cfg = _write_cfg(tmp_path, TINY_CFG.replace(old, new))
+        out = tmp_path / "x"
+        assert run_cli("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert "[data]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _spec_from_text(text, tmp_path):
+    """The corpus recipe of a config text, as `load_run` and `gen-data` build it."""
+    values = cli.parse_config_text(text)
+    cli._validate_keys(values)
+    return cli._generator_spec(cli.RunConfig(values=values, out=tmp_path))
+
+
+class TestGeneratorConfigText:
+    def test_parse_round_trip(self, tmp_path):
+        text = """
+        # three rhythm classes
+        data.channels = 2
+        data.sample_rate = 200
+        data.duration = 2
+        data.noise_sigma = 3.5
+        data.records_per_class = 4
+        data.class.slow.bands = 1-4:40
+        data.class.alpha.bands = 8-12:30, 13-15:10
+        data.class.beta.bands = 18-30:40
+        """
+        spec = _spec_from_text(text, tmp_path)
+        assert spec.channels == 2
+        assert spec.noise_sigma == 3.5
+        assert len(spec.classes) == 3
+        # label ids follow class names, not file order
+        assert [c.name for c in spec.classes] == ["alpha", "beta", "slow"]
+        assert spec.classes[0].bands == (Band(8.0, 12.0, 30.0), Band(13.0, 15.0, 10.0))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown"):
+            _spec_from_text("data.channels = 2\ndata.bogus = 1\n", tmp_path)
+
+    def test_malformed_band_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _spec_from_text("data.class.a.bands = 1-4:40\ndata.class.b.bands = oops\n", tmp_path)
+
 
 def _edit_manifest(path, edit):
     manifest = json.loads(path.read_text())
@@ -171,6 +225,11 @@ def _with_keys(text, keys):
     any line that already sets it."""
     kept = [line for line in text.splitlines() if line.split(" = ")[0] not in keys]
     return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()])
+
+
+def _empty_manifest(data_dir):
+    empty = {"files": [], "labels": [], "splits": {"train": [], "val": [], "test": []}}
+    (data_dir / "manifest.json").write_text(json.dumps(empty))
 
 
 def _add_spike(data_dir):
@@ -267,6 +326,14 @@ class TestConfigValidation:
             ("train-tokenizer", "tokenizer.mlp_dim = 0"),
             ("train-tokenizer", "tokenizer.max_positions = 0"),
             ("train-ssm", "model.features = 0"),
+            ("train-tokenizer", "stage1.betas = 0.9"),
+            ("train-tokenizer", "stage1.betas = 0.9,0.99,0.5"),
+            ("train-tokenizer", "tokenizer.conv_strides = 0,1,1"),
+            ("train-tokenizer", "tokenizer.conv_kernels = 300,3,3"),
+            ("train-tokenizer", "tokenizer.conv_pads = -9,1,1"),
+            ("train-tokenizer", "tokenizer.conv_channels = 0,4,4"),
+            ("probe", "probe.hidden = 0"),
+            ("probe", "probe.compress = 0"),
         ],
     )
     def test_invalid_model_width_rejected_before_writing(self, pipeline, tmp_path, capsys, command, text):
@@ -417,8 +484,9 @@ class TestPrerequisites:
             ("analyze", {}, {}, _add_spike, 3, "record_0003.bin"),
             ("train-ssm", {}, {"split.train": "0.0", "split.val": "0.5", "split.test": "0.5"}, None, 3, "train split"),
             ("probe", {}, {"split.train": "0.6", "split.val": "0.0", "split.test": "0.4"}, None, 3, "val split"),
+            ("analyze", {}, {}, _empty_manifest, 3, "files lists no records"),
         ],
-        ids=["kernel_len", "records_longer_than_backbone", "patch_len", "over_100_uv", "empty_train", "empty_val"],
+        ids=["kernel_len", "records_longer_than_backbone", "patch_len", "over_100_uv", "empty_train", "empty_val", "no_records"],
     )
     def test_unreadable_dataset_rejected_before_writing(
         self, pipeline, tmp_path, capsys, command, keys, corpus_keys, damage, code, message

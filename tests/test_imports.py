@@ -1,9 +1,10 @@
 """Every name a module imports is used in that module, every name in a
 module's `__all__` is bound in it, only the CLI and the training loop
-import `csv` (the CLI writes every run table, `pretrain` its history), and
+import `csv` (the CLI writes every run table, `pretrain` its history),
 only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
-state tree is read from its attributes, and one CLI function loads,
-preprocesses and patches every dataset record.
+state tree is read from its attributes, one CLI function loads,
+preprocesses and patches every dataset record, and every config dataclass
+checks its own values in `__post_init__`.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
@@ -118,6 +119,17 @@ def test_only_module_and_adamw_define_children():
         f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "children")
     )
     assert found == ["nn.py:Module", "pretrain.py:AdamW"]
+
+
+def test_every_config_dataclass_checks_its_values():
+    found = {
+        f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "__post_init__")
+    }
+    configs = {
+        "signal.py:GeneratorSpec", "tokenizer.py:TokenizerConfig", "ssm.py:EegssmConfig",
+        "pretrain.py:TrainConfig", "probe.py:ProbeConfig",
+    }
+    assert configs <= found
 
 
 def callers(source: str, dotted: str) -> list[str]:

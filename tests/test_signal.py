@@ -11,9 +11,7 @@ from codebrain.signal import (
     GeneratorSpec,
     RecordFormatError,
     freq_features,
-    generator_spec,
     load_record,
-    parse_key_values,
     patch,
     preprocess,
     save_record,
@@ -288,31 +286,28 @@ class TestSynthGenerate:
             assert amp[10] > 10.0 * others.max()
 
     def test_band_above_nyquist_rejected(self):
-        spec = GeneratorSpec(
-            classes=(
-                ClassSpec("a", (Band(1.0, 4.0, 40.0),)),
-                ClassSpec("hot", (Band(90.0, 120.0, 40.0),)),
-            ),
-            sample_rate=200,
-        )
         with pytest.raises(ValueError, match="Nyquist"):
-            synth_generate(spec, seed=1)
+            GeneratorSpec(
+                classes=(
+                    ClassSpec("a", (Band(1.0, 4.0, 40.0),)),
+                    ClassSpec("hot", (Band(90.0, 120.0, 40.0),)),
+                ),
+                sample_rate=200,
+            )
 
     def test_single_class_rejected(self):
-        spec = GeneratorSpec(classes=(ClassSpec("only", (Band(1, 4, 40),)),))
         with pytest.raises(ValueError):
-            synth_generate(spec, seed=1)
+            GeneratorSpec(classes=(ClassSpec("only", (Band(1, 4, 40),)),))
 
     def test_amplitude_headroom_enforced(self):
-        spec = GeneratorSpec(
-            classes=(
-                ClassSpec("a", (Band(1, 4, 90.0),)),
-                ClassSpec("b", (Band(8, 12, 90.0),)),
-            ),
-            noise_sigma=4.0,
-        )
         with pytest.raises(ValueError, match="limit"):
-            synth_generate(spec, seed=1)
+            GeneratorSpec(
+                classes=(
+                    ClassSpec("a", (Band(1, 4, 90.0),)),
+                    ClassSpec("b", (Band(8, 12, 90.0),)),
+                ),
+                noise_sigma=4.0,
+            )
 
     def test_classes_are_spectrally_separable(self):
         """A trivial band-energy argmax classifier reaches >= 95% accuracy."""
@@ -352,31 +347,3 @@ class TestSplit:
         # sums to 1, but a negative share would empty the later splits
         with pytest.raises(ValueError, match="non-negative"):
             split_stratified(np.repeat([0, 1], 10), (1.2, -0.2, 0.0), seed=0)
-
-
-class TestGeneratorConfigText:
-    def test_parse_round_trip(self):
-        text = """
-        # three rhythm classes
-        channels = 2
-        sample_rate = 200
-        duration = 2
-        noise_sigma = 3.5
-        records_per_class = 4
-        class.slow.bands = 1-4:40
-        class.alpha.bands = 8-12:30, 13-15:10
-        class.beta.bands = 18-30:40
-        """
-        spec = generator_spec(parse_key_values(text))
-        assert spec.channels == 2
-        assert spec.noise_sigma == 3.5
-        assert len(spec.classes) == 3
-        assert spec.classes[1].bands == (Band(8.0, 12.0, 30.0), Band(13.0, 15.0, 10.0))
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            generator_spec(parse_key_values("channels = 2\nbogus = 1\n"))
-
-    def test_malformed_band_rejected(self):
-        with pytest.raises(ValueError):
-            generator_spec(parse_key_values("class.a.bands = 1-4:40\nclass.b.bands = oops\n"))
