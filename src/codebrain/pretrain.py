@@ -110,12 +110,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
-        if self.peak_lr < self.min_lr:
-            raise ValueError("peak lr must be >= min lr")
+        if not self.peak_lr >= self.min_lr:  # NaN too
+            raise ValueError(f"peak lr must be >= min lr, got {self.peak_lr} and {self.min_lr}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask ratio must be in (0, 1)")
-        if self.clip_norm <= 0:
-            raise ValueError("clip norm must be positive")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip norm must be positive, got {self.clip_norm}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
             raise ValueError(f"betas must be two values in [0, 1), got {self.betas}")
 
@@ -231,24 +235,26 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict, ste
 
     The manifest is canonical JSON (sorted keys, fixed separators) and the
     blob concatenates tensor bytes in sorted-name order, so saving the same
-    state twice produces identical files byte for byte.
+    state twice produces identical files byte for byte. Each tensor is
+    written from its own little-endian contiguous buffer; one already in
+    that layout is not copied.
     """
     os.makedirs(path, exist_ok=True)
-    entries = []
+    entries, arrays = [], []
     offset = 0
-    names = sorted(tensors)
-    for name in names:
+    for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
-        dt = arr.dtype.newbyteorder("<")
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append(
             {
                 "name": name,
-                "dtype": dt.str,
+                "dtype": arr.dtype.str,
                 "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": arr.nbytes,
             }
         )
+        arrays.append(arr)
         offset += arr.nbytes
     manifest = {
         "version": _CKPT_VERSION,
@@ -262,11 +268,10 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], config: dict, ste
     man_tmp = os.path.join(path, "manifest.json.tmp")
     bin_tmp = os.path.join(path, "tensors.bin.tmp")
     with open(bin_tmp, "wb") as fh:
-        for name in names:
-            arr = np.ascontiguousarray(tensors[name])
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        for arr in arrays:
+            fh.write(arr.data)
     with open(man_tmp, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
     os.replace(bin_tmp, os.path.join(path, "tensors.bin"))
     os.replace(man_tmp, os.path.join(path, "manifest.json"))
 
@@ -283,8 +288,11 @@ class Checkpoint:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Any unreadable file, missing manifest key, size disagreement or tensor
-    entry whose bytes do not match its dtype and shape raises CheckpointError.
+    Any unreadable file, missing manifest key, size disagreement, tensor
+    entry whose bytes do not match its dtype and shape, or dtype that is not
+    bool, integer, float or complex raises CheckpointError. Every entry is
+    checked before any tensor is allocated; each tensor is then read from
+    the blob straight into its own array.
     """
     man_path = os.path.join(path, "manifest.json")
     bin_path = os.path.join(path, "tensors.bin")
@@ -297,33 +305,41 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        with open(bin_path, "rb") as fh:
-            blob = fh.read()
+        fh = open(bin_path, "rb")
     except OSError as e:
         raise CheckpointError(f"unreadable tensor blob at {bin_path}: {e}") from e
-    try:
-        if len(blob) != manifest["total_bytes"]:
-            raise CheckpointError(
-                f"tensor blob is {len(blob)} bytes, manifest expects {manifest['total_bytes']}"
+    with fh:
+        try:
+            size = os.fstat(fh.fileno()).st_size
+            if size != manifest["total_bytes"]:
+                raise CheckpointError(f"tensor blob is {size} bytes, manifest expects {manifest['total_bytes']}")
+            layout = []
+            for entry in manifest["tensors"]:
+                name, start, n = entry["name"], entry["offset"], entry["nbytes"]
+                dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+                if dtype.kind not in "biufc":
+                    raise CheckpointError(f"tensor {name!r}: dtype {dtype.str!r} is not bool, integer, float or complex")
+                if min(shape, default=0) < 0 or n != dtype.itemsize * math.prod(shape) or not 0 <= start <= size - n:
+                    raise CheckpointError(f"tensor {name!r}: {n} bytes at offset {start} do not hold {dtype} {list(shape)}")
+                layout.append((name, start, dtype, shape))
+            tensors = {}
+            for name, start, dtype, shape in layout:
+                arr = np.empty(shape, dtype=dtype)
+                fh.seek(start)
+                if fh.readinto(arr) != arr.nbytes:
+                    raise CheckpointError(f"tensor {name!r}: blob at {bin_path} ended while reading it")
+                tensors[name] = arr
+            return Checkpoint(
+                config=manifest["config"],
+                step=manifest["step"],
+                meta=manifest.get("meta", {}),
+                tensors=tensors,
+                config_hash=manifest["config_hash"],
             )
-        tensors = {}
-        for entry in manifest["tensors"]:
-            start, n = entry["offset"], entry["nbytes"]
-            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
-            if n != dtype.itemsize * math.prod(shape) or not 0 <= start <= len(blob) - n:
-                raise CheckpointError(
-                    f"tensor {entry['name']!r}: {n} bytes at offset {start} do not hold {dtype} {list(shape)}"
-                )
-            tensors[entry["name"]] = np.frombuffer(blob[start : start + n], dtype=dtype).reshape(shape).copy()
-        return Checkpoint(
-            config=manifest["config"],
-            step=manifest["step"],
-            meta=manifest.get("meta", {}),
-            tensors=tensors,
-            config_hash=manifest["config_hash"],
-        )
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"malformed manifest at {man_path}: {type(e).__name__} {e}") from None
+        except OSError as e:
+            raise CheckpointError(f"unreadable tensor blob at {bin_path}: {e}") from e
+        except (KeyError, TypeError) as e:
+            raise CheckpointError(f"malformed manifest at {man_path}: {type(e).__name__} {e}") from None
 
 
 def _verify_resume(ckpt: Checkpoint, config: dict) -> None:
@@ -441,6 +457,7 @@ def _train(
         if checkpoint_every and out_dir and (step + 1) % checkpoint_every == 0:
             save(step + 1, f"step_{step + 1:06d}", model.state_dict())
             write_history_csv(earlier + history, history_path)
+    opt.zero_grad()  # nothing reads the last step's gradients; do not keep them alive
 
     if out_dir is not None:
         save(config.steps, "final", model.state_dict())

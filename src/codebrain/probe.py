@@ -213,6 +213,10 @@ class ProbeConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if np.isnan(self.lr) or np.isnan(self.min_lr):
+            raise ValueError(f"lr and min_lr must be numbers, got {self.lr} and {self.min_lr}")
+        if not self.weight_decay >= 0:  # NaN too
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 class ProbeHead(nn.Module):

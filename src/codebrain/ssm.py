@@ -326,6 +326,8 @@ class EegssmConfig:
             raise ValueError("window must be >= 1")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if np.isnan(self.alpha):
+            raise ValueError("alpha must be a number, got nan")
 
 
 @dataclass

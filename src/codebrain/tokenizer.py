@@ -87,8 +87,10 @@ class TokenizerConfig:
         if min(self.conv_pads) < 0:
             raise ValueError(f"conv_pads must all be >= 0, got {self.conv_pads}")
         self.conv_out_len()
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not self.temperature > 0:  # NaN too
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if np.isnan(self.commitment_beta):
+            raise ValueError("commitment_beta must be a number, got nan")
 
     @property
     def freq_bins(self) -> int:

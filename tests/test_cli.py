@@ -348,6 +348,19 @@ class TestConfigValidation:
         assert f"[{key.split('.')[0]}]" in capsys.readouterr().err
         assert not out.exists()  # no stage directory
 
+    @pytest.mark.parametrize(
+        "command, text, stage",
+        [("train-tokenizer", "stage1.peak_lr = nan", "stage1"), ("train-ssm", "model.alpha = nan", "stage2")],
+    )
+    def test_nan_value_rejected_before_writing(self, pipeline, tmp_path, capsys, command, text, stage):
+        # a NaN compares false with every bound, so each check must be written to fail on it
+        run, cfg = pipeline
+        full = cfg.read_text() + f"{text}\npaths.data = {run / 'data'}\npaths.stage1 = {run / 'stage1' / 'final'}"
+        out = tmp_path / "x"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, full)), "--out", str(out)) == 2
+        assert f"[{text.split('.')[0]}]" in capsys.readouterr().err
+        assert not (out / stage).exists()
+
     def test_records_longer_than_position_table_rejected(self, pipeline, tmp_path, capsys):
         run, cfg = pipeline
         text = cfg.read_text() + f"tokenizer.max_positions = 4\npaths.data = {run / 'data'}"
@@ -422,6 +435,20 @@ class TestPrerequisites:
         text = cfg.read_text() + f"paths.data = {out / 'data'}\npaths.stage1 = {bad}\n"
         assert run_cli("analyze", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 3
         assert "conv0/bn/running_mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("train-ssm", "stage1"), ("probe", "stage2")])
+    def test_checkpoint_tensor_of_object_dtype_rejected(self, pipeline, tmp_path, capsys, command, key):
+        # adam/t holds one int64, so an 8-byte object entry passes every size check
+        out, cfg = pipeline
+        bad = tmp_path / f"bad_{key}"
+        shutil.copytree(out / key / "final", bad)
+        _edit_manifest(
+            bad / "manifest.json",
+            lambda m: next(e for e in m["tensors"] if e["name"] == "adam/t").update(dtype="|O"),
+        )
+        text = cfg.read_text() + f"paths.data = {out / 'data'}\npaths.{key} = {bad}\n"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path / "x")) == 3
+        assert "'adam/t': dtype '|O' is not bool, integer, float or complex" in capsys.readouterr().err
 
     def test_stage1_config_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys):
         out, cfg = pipeline

@@ -4,16 +4,22 @@ import `csv` (the CLI writes every run table, `pretrain` its history),
 only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
 state tree is read from its attributes, one CLI function loads,
 preprocesses and patches every dataset record, and every config dataclass
-checks its own values in `__post_init__`.
+checks its own values in `__post_init__`, rejecting NaN in every float field.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
 """
 
 import ast
+import dataclasses
+import math
+import typing
 from pathlib import Path
 
 import pytest
+
+from codebrain import pretrain, probe, ssm, tokenizer
+from codebrain.signal import Band, ClassSpec, GeneratorSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "codebrain"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -121,15 +127,58 @@ def test_only_module_and_adamw_define_children():
     assert found == ["nn.py:Module", "pretrain.py:AdamW"]
 
 
+# every config dataclass, built with valid values
+CONFIGS = {
+    "signal.py:GeneratorSpec": lambda: GeneratorSpec(
+        classes=(ClassSpec("slow", (Band(1, 4, 10),)), ClassSpec("fast", (Band(8, 12, 10),)))
+    ),
+    "tokenizer.py:TokenizerConfig": tokenizer.TokenizerConfig,
+    "ssm.py:EegssmConfig": ssm.EegssmConfig,
+    "pretrain.py:TrainConfig": pretrain.TrainConfig,
+    "probe.py:ProbeConfig": probe.ProbeConfig,
+}
+
+
 def test_every_config_dataclass_checks_its_values():
     found = {
         f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "__post_init__")
     }
-    configs = {
-        "signal.py:GeneratorSpec", "tokenizer.py:TokenizerConfig", "ssm.py:EegssmConfig",
-        "pretrain.py:TrainConfig", "probe.py:ProbeConfig",
-    }
-    assert configs <= found
+    assert set(CONFIGS) <= found
+
+
+def nan_variants(config) -> dict[str, dict]:
+    """For each float in `config`, a field or one element of a tuple of
+    floats, the `dataclasses.replace` changes that make it NaN."""
+    hints = typing.get_type_hints(type(config))
+    out = {}
+    for field in dataclasses.fields(config):
+        hint, value = hints[field.name], getattr(config, field.name)
+        if hint is float:
+            out[field.name] = {field.name: math.nan}
+        elif typing.get_origin(hint) is tuple and set(typing.get_args(hint)) <= {float, Ellipsis}:
+            for i in range(len(value)):
+                out[f"{field.name}[{i}]"] = {field.name: value[:i] + (math.nan,) + value[i + 1 :]}
+    return out
+
+
+NAN_CASES = [(key, name, change) for key, build in CONFIGS.items() for name, change in nan_variants(build()).items()]
+
+
+def test_nan_cases_cover_the_float_fields():
+    names = {f"{key.split(':')[1]}.{name}" for key, name, _ in NAN_CASES}
+    assert {
+        "TrainConfig.peak_lr", "TrainConfig.min_lr", "TrainConfig.eps", "TrainConfig.weight_decay",
+        "TrainConfig.clip_norm", "TrainConfig.betas[1]", "ProbeConfig.lr", "ProbeConfig.min_lr",
+        "ProbeConfig.weight_decay", "TokenizerConfig.temperature", "TokenizerConfig.commitment_beta",
+        "EegssmConfig.alpha", "GeneratorSpec.noise_sigma",
+    } <= names
+
+
+@pytest.mark.parametrize("key, name, change", NAN_CASES, ids=[f"{k.split(':')[1]}.{n}" for k, n, _ in NAN_CASES])
+def test_every_float_config_field_rejects_nan(key, name, change):
+    config = CONFIGS[key]()
+    with pytest.raises(ValueError):
+        dataclasses.replace(config, **change)
 
 
 def callers(source: str, dotted: str) -> list[str]:

@@ -2,10 +2,13 @@
 and schedule arithmetic, checkpoint round trips, resume equivalence, and
 divergence handling."""
 
+import hashlib
+import itertools
 import json
 import os
 import re
 import shutil
+import tracemalloc
 import warnings
 import weakref
 
@@ -246,6 +249,11 @@ class TestTrainConfig:
             TrainConfig(steps=0)
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(eps=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(weight_decay=-1e-3)
+        TrainConfig(peak_lr=1e-3, min_lr=1e-3, weight_decay=0.0)  # the bounds themselves are valid
 
 
 class TestCheckpoint:
@@ -332,6 +340,110 @@ class TestCheckpoint:
         man.write_text(json.dumps(j))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path))
+
+    def test_negative_shape_rejected(self, tmp_path):
+        man, j = self.saved_manifest(tmp_path)
+        next(e for e in j["tensors"] if e["name"] == "w")["shape"] = [-3, -4]  # 12 values, as the bytes hold
+        man.write_text(json.dumps(j))
+        with pytest.raises(CheckpointError, match="do not hold"):
+            load_checkpoint(str(tmp_path))
+
+    @pytest.mark.parametrize("dtype", ["|O", "|V8", "|S8", "<M8[s]", "<m8[s]"])
+    def test_non_numeric_dtype_rejected_before_allocating(self, tmp_path, monkeypatch, dtype):
+        # "b" holds 4 eight-byte values, so only the dtype's kind is wrong
+        man, j = self.saved_manifest(tmp_path)
+        next(e for e in j["tensors"] if e["name"] == "b")["dtype"] = dtype
+        man.write_text(json.dumps(j))
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated a tensor before every entry was checked")
+
+        monkeypatch.setattr(pretrain.np, "empty", no_alloc)
+        with pytest.raises(CheckpointError, match="'b'.*not bool, integer, float or complex"):
+            load_checkpoint(str(tmp_path))
+
+    # sha256 of manifest.json and tensors.bin as the format defines them;
+    # a change to how checkpoints are written must leave these equal
+    GOLDEN = {
+        "sample": (
+            "20dc4c58691b4fdc59543a4dbc49e534fe8b5a09716cc73147a631ceb43e8825",
+            "25cc2ad1bef2ce6c5f905b720206985f737597858f2826b95adc345df503808a",
+        ),
+        "layouts": (
+            "dbf38fa7b2cde50d642aeb7efd0efd1e5e5b900e747bb509ba2ad2b53721b0f6",
+            "1cd5c2288c9c2ef3e863321a565e39f3b5ab840a325c69cb7285753a80b4b1c5",
+        ),
+    }
+
+    def layouts_state(self):
+        """Every layout `save_checkpoint` must normalize: big-endian, Fortran
+        order, a strided view, 0-d (saved as shape [1]), empty, and the
+        bool, complex and unsigned kinds."""
+        rng = np.random.default_rng(11)
+        return {
+            "big": rng.normal(size=(2, 3)).astype(">f4"),
+            "fortran": np.asfortranarray(rng.normal(size=(3, 2))),
+            "strided": np.arange(12, dtype=np.int32)[::3],
+            "mask": rng.random(5) < 0.5,
+            "scalar": np.array(2.5, dtype=np.float32),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "z": (rng.normal(size=2) + 1j * rng.normal(size=2)).astype(np.complex64),
+            "u8": np.arange(7, dtype=np.uint8),
+        }
+
+    @pytest.mark.parametrize("case", ["sample", "layouts"])
+    def test_format_is_pinned(self, tmp_path, case):
+        if case == "sample":
+            save_checkpoint(str(tmp_path), self.sample_state(), {"lr": 0.1, "name": "golden"}, step=7, meta={"note": "x"})
+        else:
+            save_checkpoint(str(tmp_path), self.layouts_state(), {"k": [1, 2]}, step=3)
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("manifest.json", "tensors.bin"))
+        assert got == self.GOLDEN[case]
+
+    def test_layouts_round_trip(self, tmp_path):
+        state = self.layouts_state()
+        save_checkpoint(str(tmp_path), state, {}, step=0)
+        loaded = load_checkpoint(str(tmp_path)).tensors
+        for k, v in state.items():
+            assert loaded[k].dtype == v.dtype.newbyteorder("=")
+            np.testing.assert_array_equal(loaded[k], v.reshape(loaded[k].shape), err_msg=k)
+
+    def big_state(self):
+        """About 8 MB in four float32 tensors and two small ones."""
+        rng = np.random.default_rng(3)
+        state = {f"w{i}": rng.normal(size=(512, 1024)).astype(np.float32) for i in range(4)}
+        return {**state, "b": np.ones(7, dtype=np.float64), "t": np.zeros(1, dtype=np.int64)}
+
+    def test_load_peak_memory_is_one_copy(self, tmp_path):
+        save_checkpoint(str(tmp_path), self.big_state(), {}, step=0)
+        blob = (tmp_path / "tensors.bin").stat().st_size
+        assert blob > 8_000_000
+        tracemalloc.start()
+        try:
+            ck = load_checkpoint(str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(v.nbytes for v in ck.tensors.values()) == blob
+        assert peak <= blob + 2**20, f"peak {peak} bytes for a {blob}-byte blob"
+
+    def test_loaded_arrays_own_separate_writeable_memory(self, tmp_path):
+        state = self.big_state()
+        save_checkpoint(str(tmp_path), state, {}, step=0)
+        loaded = load_checkpoint(str(tmp_path)).tensors
+        for k, v in loaded.items():
+            assert v.flags.owndata and v.flags.writeable and v.flags.c_contiguous, k
+            np.testing.assert_array_equal(v, state[k], err_msg=k)
+        for a, b in itertools.combinations(loaded.values(), 2):
+            assert not np.shares_memory(a, b)
+
+    def test_blob_longer_than_manifest_rejected(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(path, self.sample_state(), {}, step=0)
+        with open(os.path.join(path, "tensors.bin"), "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(CheckpointError, match="128 bytes, manifest expects 120"):
+            load_checkpoint(path)
 
 
 MODELS = {
@@ -843,6 +955,27 @@ def _train_stage(stage, out_dir, **kw):
         return train_tokenizer(model, data, TestTrainTokenizer().config(steps=6), out_dir=out_dir, checkpoint_every=2, **kw)
     model, data = stage2_setup()
     return train_eegssm(model, data, TestTrainEegssm().config(steps=6), out_dir=out_dir, checkpoint_every=2, **kw)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_no_gradient_outlives_training(tmp_path, stage):
+    # the last step's gradients are as large as the model; nothing reads them
+    if stage == 1:
+        model, data = stage1_setup()
+        train_tokenizer(model, data, TestTrainTokenizer().config(steps=3), out_dir=str(tmp_path), checkpoint_every=2)
+    else:
+        model, data = stage2_setup()
+        train_eegssm(model, data, TestTrainEegssm().config(steps=3), out_dir=str(tmp_path), checkpoint_every=2)
+    assert [k for k, p in model.named_params().items() if p.grad is not None] == []
+
+
+def test_divergence_keeps_the_failed_steps_gradients():
+    model, data = stage2_setup()
+    model.embed.w.data[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as info:
+        train_eegssm(model, data, TestTrainEegssm().config())
+    bad = re.search(r"first non-finite gradient in (\S+);", str(info.value)).group(1)
+    assert not np.all(np.isfinite(model.named_params()[bad].grad))
 
 
 class _Killed(Exception):
