@@ -2,10 +2,11 @@
 analytics, and benchmarks.
 
 Configuration is flat ``section.key = value`` text. A preset supplies the
-baseline, and every key a command reads; an optional ``--config`` file
-overlays it, and ``--seed`` overrides every stage seed at once. Unknown keys
-are rejected before any work starts. ``train-ssm`` takes the backbone's
-``patch_len`` and ``codebook_size`` from the stage-1 checkpoint.
+baseline, and the config dataclasses' defaults the keys it leaves out; an
+optional ``--config`` file overlays it, and ``--seed`` overrides every stage
+seed at once. Unknown keys are rejected before any work starts. ``train-ssm``
+takes the backbone's ``patch_len`` and ``codebook_size`` from the stage-1
+checkpoint.
 
 Every command reads and writes under one output tree::
 
@@ -30,8 +31,10 @@ command writes. Records are checked before a command writes: too many
 patches (channels x windows) for ``tokenizer.max_positions`` or
 ``model.kernel_len``, or a length ``tokenizer.patch_len`` does not divide,
 is exit 2; a damaged record, one over 100 uV, an empty split the command
-needs (train; val and test too for ``probe``) or a manifest that lists no
-records is exit 3.
+needs (train; val and test too for ``probe``), a manifest that lists no
+records, or records the command cannot batch together (train records of
+more than one (channels, windows) shape for the training commands, more
+than one channel count for ``probe``) is exit 3.
 """
 
 from __future__ import annotations
@@ -114,13 +117,14 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-# beyond its fields, [data] takes one class.<name>.bands key per class
+# beyond its fields, [data] takes one class.<name>.bands key per class; only
+# stage 2 masks and only stage 1 counts epochs
 _SECTION_FIELDS = {
     "data": {f.name for f in dataclasses.fields(GeneratorSpec)} - {"classes"},
     "tokenizer": {f.name for f in dataclasses.fields(TokenizerConfig)},
     "model": {f.name for f in dataclasses.fields(EegssmConfig)} - {"patch_len", "codebook_size"},
-    "stage1": {f.name for f in dataclasses.fields(TrainConfig)},
-    "stage2": {f.name for f in dataclasses.fields(TrainConfig)},
+    "stage1": {f.name for f in dataclasses.fields(TrainConfig)} - {"mask_ratio"},
+    "stage2": {f.name for f in dataclasses.fields(TrainConfig)} - {"epochs"},
     "probe": {f.name for f in dataclasses.fields(ProbeConfig)} | {"seeds", "shuffled"},
     "split": {"train", "val", "test", "seed"},
     "bench": {"sizes", "features", "base", "repeats", "attention_max_len"},
@@ -333,6 +337,22 @@ def _load_dataset(
     return grids, info
 
 
+def _require_one_shape(grids: list[PatchGrid], info: dict, indices, axes: int) -> None:
+    """PrerequisiteError naming two records unless the records at `indices`
+    agree on the first `axes` of their (channels, windows): training stacks
+    whole records into a batch, and the probe head reads one vector per
+    channel."""
+    what = "(channels, windows) shape" if axes == 2 else "channel count"
+    first = indices[0]
+    for i in indices:
+        if grids[i].patches.shape[:axes] != grids[first].patches.shape[:axes]:
+            (c0, n0), (c1, n1) = grids[first].patches.shape[:2], grids[i].patches.shape[:2]
+            raise PrerequisiteError(
+                f"the records need one {what}, but {info['files'][first]} has {c0} channels x "
+                f"{n0} windows and {info['files'][i]} has {c1} x {n1}"
+            )
+
+
 _STAGES = {
     "stage1": ("tokenizer", TokenizerConfig, TokenizerModel, "train-tokenizer"),
     "stage2": ("backbone", EegssmConfig, EegssmModel, "train-ssm"),
@@ -424,6 +444,7 @@ def cmd_train_tokenizer(run: RunConfig, args: argparse.Namespace) -> int:
     grids, info = _load_dataset(
         run, tok_cfg.patch_len, {"tokenizer.max_positions": tok_cfg.max_positions}, needs=("train",)
     )
+    _require_one_shape(grids, info, info["splits"]["train"], 2)
     grids = [grids[i] for i in info["splits"]["train"]]
 
     out_dir = run.out / "stage1"
@@ -446,6 +467,7 @@ def cmd_train_ssm(run: RunConfig, args: argparse.Namespace) -> int:
     )
     limits = {"tokenizer.max_positions": tok_model.config.max_positions, "model.kernel_len": model_cfg.kernel_len}
     grids, info = _load_dataset(run, model_cfg.patch_len, limits, needs=("train",))
+    _require_one_shape(grids, info, info["splits"]["train"], 2)
     data = [(grids[i], tokenize(tok_model, grids[i])) for i in info["splits"]["train"]]
 
     out_dir = run.out / "stage2"
@@ -482,6 +504,7 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
         run, backbone.config.patch_len, {"model.kernel_len": backbone.config.kernel_len},
         needs=("train", "val", "test"),
     )
+    _require_one_shape(grids, info, range(len(grids)), 1)
     labels = np.array(info["labels"], dtype=np.int64)
     n_classes = int(labels.max()) + 1
     features = extract_features(backbone, grids)  # backbone stays frozen

@@ -110,8 +110,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
-        if not self.peak_lr >= self.min_lr:  # NaN too
-            raise ValueError(f"peak lr must be >= min lr, got {self.peak_lr} and {self.min_lr}")
+        if not (np.isfinite(self.peak_lr) and 0 <= self.min_lr <= self.peak_lr):  # NaN too
+            raise ValueError(f"need finite lrs with 0 <= min lr <= peak lr, got {self.peak_lr} and {self.min_lr}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask ratio must be in (0, 1)")
         if not self.clip_norm > 0:

@@ -213,8 +213,8 @@ class ProbeConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if np.isnan(self.lr) or np.isnan(self.min_lr):
-            raise ValueError(f"lr and min_lr must be numbers, got {self.lr} and {self.min_lr}")
+        if not (np.isfinite(self.lr) and 0 <= self.min_lr <= self.lr):  # NaN too
+            raise ValueError(f"need finite lrs with 0 <= min_lr <= lr, got {self.lr} and {self.min_lr}")
         if not self.weight_decay >= 0:  # NaN too
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
@@ -237,7 +237,7 @@ class ProbeHead(nn.Module):
         self.layer2 = nn.Linear(config.hidden, config.compress, rng)
         self.layer3 = nn.Linear(config.compress, classes, rng)
 
-    def forward(self, feats: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, feats: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """(B, C, F) pooled features -> (B, classes) logits."""
         if feats.shape[-2:] != (self.channels, self.features):
             raise ValueError(
@@ -287,7 +287,7 @@ def extract_features(model: EegssmModel, grids: list[PatchGrid]) -> np.ndarray:
 
 def _evaluate(head: ProbeHead, feats: np.ndarray, labels: np.ndarray, task: str, n_classes: int) -> MetricsReport:
     with no_grad():
-        logits = head.forward(Tensor(feats)).data
+        logits = head(Tensor(feats)).data
     pred = logits.argmax(axis=-1)
     scores = softmax(Tensor(logits)).data[:, 1] if task == "binary" else None
     return compute_metrics(pred, labels, scores=scores, task=task, n_classes=n_classes)
@@ -330,7 +330,7 @@ def train_probe_on_features(
     n = x_tr.shape[0]
     for step in range(config.steps):
         idx = rng.choice(n, size=min(config.batch_size, n), replace=n < config.batch_size)
-        logits = head.forward(Tensor(x_tr[idx]), train=True, rng=rng)
+        logits = head(Tensor(x_tr[idx]), train=True, rng=rng)
         loss = cross_entropy(logits, y_tr[idx]).mean()
         opt.zero_grad()
         backward(loss)

@@ -41,12 +41,10 @@ __all__ = [
     "SgconvSpec",
     "SwaParams",
     "bench_backbones",
-    "block_forward",
     "build_kernel",
     "gate",
     "sgconv_forward",
     "sgconv_param_count",
-    "stack_forward",
     "swa_forward",
 ]
 
@@ -70,24 +68,18 @@ class SgconvSpec(nn.Module):
     """Multi-resolution depthwise kernel parameters.
 
     `weights` has shape (features, N, d): N sub-kernel vectors of length d
-    per channel. `normalize` divides the assembled kernel by its per-channel
-    L1 norm so convolution preserves scale.
+    per channel, which fix the kernel's span L = d * 2^(N-1). `normalize`
+    divides the assembled kernel by its per-channel L1 norm so convolution
+    preserves scale.
     """
 
-    length: int
-    base: int
     alpha: float
     weights: Tensor
     normalize: bool = True
 
     def __post_init__(self):
-        n = _subkernel_count(self.length, self.base)
-        if self.weights.shape[-2:] != (n, self.base):
-            raise ValueError(
-                f"weights must end in (N={n}, d={self.base}), got {self.weights.shape}"
-            )
-        if self.weights.ndim != 3:
-            raise ValueError("weights must be (features, N, d)")
+        if self.weights.ndim != 3 or 0 in self.weights.shape[1:]:
+            raise ValueError(f"weights must be (features, N, d) with N, d >= 1, got {self.weights.shape}")
 
     @property
     def features(self) -> int:
@@ -96,6 +88,14 @@ class SgconvSpec(nn.Module):
     @property
     def n_subkernels(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def base(self) -> int:
+        return self.weights.shape[2]
+
+    @property
+    def length(self) -> int:
+        return self.base << (self.n_subkernels - 1)
 
     @classmethod
     def create(
@@ -109,13 +109,7 @@ class SgconvSpec(nn.Module):
     ) -> "SgconvSpec":
         n = _subkernel_count(length, base)
         w = rng.normal(0.0, 1.0 / np.sqrt(base * n), size=(features, n, base))
-        return cls(
-            length=length,
-            base=base,
-            alpha=alpha,
-            weights=Tensor(w.astype(np.float32), requires_grad=True),
-            normalize=normalize,
-        )
+        return cls(alpha=alpha, weights=Tensor(w.astype(np.float32), requires_grad=True), normalize=normalize)
 
 
 def build_kernel(spec: SgconvSpec) -> Tensor:
@@ -155,23 +149,14 @@ def sgconv_forward(u, spec: SgconvSpec) -> Tensor:
     return yt.transpose(0, 2, 1)
 
 
-@dataclass
 class SwaParams(nn.Module):
     """Single-head query/key/value/output maps for windowed attention."""
 
-    q: nn.Linear
-    k: nn.Linear
-    v: nn.Linear
-    o: nn.Linear
-
-    @classmethod
-    def create(cls, features: int, rng: np.random.Generator) -> "SwaParams":
-        return cls(
-            q=nn.Linear(features, features, rng),
-            k=nn.Linear(features, features, rng),
-            v=nn.Linear(features, features, rng),
-            o=nn.Linear(features, features, rng),
-        )
+    def __init__(self, features: int, rng: np.random.Generator):
+        self.q = nn.Linear(features, features, rng)
+        self.k = nn.Linear(features, features, rng)
+        self.v = nn.Linear(features, features, rng)
+        self.o = nn.Linear(features, features, rng)
 
 
 def swa_forward(
@@ -201,7 +186,6 @@ def swa_forward(
     return params.o(out)
 
 
-@dataclass
 class GateParams(nn.Module):
     """Fusion gate: two (2F -> F) filters plus two (F -> F) output convolutions.
 
@@ -209,19 +193,11 @@ class GateParams(nn.Module):
     wise linear maps, stored here as weight matrices applied to the last axis.
     """
 
-    wf: nn.Linear
-    wg: nn.Linear
-    out1: nn.Linear
-    out2: nn.Linear
-
-    @classmethod
-    def create(cls, features: int, rng: np.random.Generator) -> "GateParams":
-        return cls(
-            wf=nn.Linear(2 * features, features, rng),
-            wg=nn.Linear(2 * features, features, rng),
-            out1=nn.Linear(features, features, rng),
-            out2=nn.Linear(features, features, rng),
-        )
+    def __init__(self, features: int, rng: np.random.Generator):
+        self.wf = nn.Linear(2 * features, features, rng)
+        self.wg = nn.Linear(2 * features, features, rng)
+        self.out1 = nn.Linear(features, features, rng)
+        self.out2 = nn.Linear(features, features, rng)
 
 
 def gate(y_sg: Tensor, y_swa: Tensor, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -258,44 +234,24 @@ class EegssmBlock(nn.Module):
         return cls(
             rms_scale=Tensor(np.ones(features, dtype=np.float32), requires_grad=True),
             sgconv=SgconvSpec.create(features, length, base, rng, alpha=alpha),
-            swa=SwaParams.create(features, rng),
+            swa=SwaParams(features, rng),
             window=window,
-            gate=GateParams.create(features, rng),
+            gate=GateParams(features, rng),
             p_drop=p_drop,
         )
 
-
-def block_forward(
-    block: EegssmBlock,
-    x: Tensor,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """One mixing step: returns (x + residual branch, skip branch)."""
-    h = rms_norm(x, block.rms_scale)
-    y_sg = sgconv_forward(h, block.sgconv)
-    y_swa = swa_forward(h, block.swa, block.window, train, rng, block.p_drop)
-    _, y1, y2 = gate(y_sg, y_swa, block.gate)
-    if train and block.p_drop > 0:
-        y1 = dropout(y1, block.p_drop, rng, train)
-        y2 = dropout(y2, block.p_drop, rng, train)
-    return x + y1, y2
-
-
-def stack_forward(
-    blocks: list[EegssmBlock],
-    x: Tensor,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Run the block stack; the output is the sum of every block's skip branch."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    skip_sum = None
-    for block in blocks:
-        x, skip = block_forward(block, x, train, rng)
-        skip_sum = skip if skip_sum is None else skip_sum + skip
-    return skip_sum
+    def __call__(
+        self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None
+    ) -> tuple[Tensor, Tensor]:
+        """One mixing step: returns (x + residual branch, skip branch)."""
+        h = rms_norm(x, self.rms_scale)
+        y_sg = sgconv_forward(h, self.sgconv)
+        y_swa = swa_forward(h, self.swa, self.window, train, rng, self.p_drop)
+        _, y1, y2 = gate(y_sg, y_swa, self.gate)
+        if train and self.p_drop > 0:
+            y1 = dropout(y1, self.p_drop, rng, train)
+            y2 = dropout(y2, self.p_drop, rng, train)
+        return x + y1, y2
 
 
 # ---- full stage-2 model ------------------------------------------------------
@@ -376,7 +332,8 @@ class EegssmModel(nn.Module):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """(B, S, T) waveform patches -> (B, S, F) stack features.
+        """(B, S, T) waveform patches -> (B, S, F) stack features, the sum of
+        every block's skip branch.
 
         `mask` is an optional (B, S) boolean array; True positions have their
         embeddings replaced by the learned mask embedding. In eval mode no
@@ -392,7 +349,11 @@ class EegssmModel(nn.Module):
                 raise ValueError(f"mask shape {mask.shape} != {(b, s)}")
             m = Tensor(mask.astype(np.float32)[..., None])
             e = e * (1.0 - m) + self.mask_embed * m
-        return stack_forward(self.blocks, e, train, rng)
+        skip_sum = None
+        for block in self.blocks:
+            e, skip = block(e, train, rng)
+            skip_sum = skip if skip_sum is None else skip_sum + skip
+        return skip_sum
 
     def forward(
         self,
@@ -464,12 +425,8 @@ def bench_backbones(
     rows: list[BenchRow] = []
     for s in seq_lens:
         u = rng.normal(size=(features, s)).astype(np.float64)
-        n_sub = _subkernel_count(s, base)
-        sg_weights = rng.normal(size=(features, n_sub, base))
-        spec = SgconvSpec(
-            length=s, base=base, alpha=0.5,
-            weights=Tensor(sg_weights.astype(np.float32)), normalize=True,
-        )
+        sg_weights = rng.normal(size=(features, _subkernel_count(s, base), base))
+        spec = SgconvSpec(alpha=0.5, weights=Tensor(sg_weights.astype(np.float32)))
         kernel = build_kernel(spec).data.astype(np.float64)
 
         def run_sgconv():

@@ -37,7 +37,6 @@ from codebrain.ssm import (
     EegssmModel,
     SgconvSpec,
     bench_backbones,
-    block_forward,
     build_kernel,
     sgconv_param_count,
     swa_forward,
@@ -227,7 +226,7 @@ def test_02_gradient_suite():
     probe = np.random.default_rng(8).standard_normal((8, 4))
 
     def block_fn(t):
-        x_next, skip = block_forward(block, t.reshape(1, 8, 4))
+        x_next, skip = block(t.reshape(1, 8, 4))
         return (x_next * Tensor(probe.reshape(1, 8, 4))).sum() + (skip * skip).sum()
 
     block_errs = [
@@ -250,7 +249,7 @@ def test_03_kernel_structure():
                 lengths = [d] + [d * (1 << i) for i in range(n_sub - 1)]
                 assert sum(lengths) == length, (length, d)
                 spec = SgconvSpec(
-                    length=length, base=d, alpha=0.5,
+                    alpha=0.5,
                     weights=Tensor(rng.standard_normal((1, n_sub, d)).astype(np.float32)),
                 )
                 kern = build_kernel(spec).data
@@ -260,7 +259,7 @@ def test_03_kernel_structure():
                 n_sub += 1
                 length *= 2
     # the worked example: L=8, d=2, alpha=1/2, unit weights, no normalization
-    spec = SgconvSpec(length=8, base=2, alpha=0.5,
+    spec = SgconvSpec(alpha=0.5,
                       weights=Tensor(np.ones((1, 3, 2), dtype=np.float32)), normalize=False)
     np.testing.assert_allclose(
         build_kernel(spec).data[0],
@@ -293,7 +292,7 @@ def test_05_swa_oracle():
     rng = np.random.default_rng(505)
     seqlen, feats = 512, 8
     x = rng.standard_normal((1, seqlen, feats))
-    params = SwaParams.create(feats, np.random.default_rng(3))
+    params = SwaParams(feats, np.random.default_rng(3))
     worst = 0.0
     for window in (1, 7, 2 * seqlen):
         got = swa_forward(Tensor(x), params, window=window).data

@@ -370,7 +370,7 @@ class TestWindowAttention:
             block = ssm.EegssmBlock.create(8, 16, 4, window, rng, p_drop=p_drop)
             x = Tensor(rng.normal(size=(2, 12, 8)).astype(np.float32), requires_grad=True)
             probe = Tensor(rng.normal(size=(2, 12, 8)).astype(np.float32))
-            y, skip = ssm.block_forward(block, x, train=True, rng=rng)
+            y, skip = block(x, train=True, rng=rng)
             backward(((y + skip) * probe).sum())
             grads = [t.grad for t in block.named_params().values()]  # rms_scale's first
             results.append([y.data, skip.data, x.grad] + grads + [rng.random(3)])

@@ -5,6 +5,7 @@ corpus; individual tests then assert on the artifacts it produced. Negative
 cases (bad config, missing prerequisites) get fresh directories.
 """
 
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
@@ -19,7 +20,7 @@ import pytest
 
 import codebrain.cli as cli
 from codebrain.pretrain import DivergenceError, load_checkpoint, save_checkpoint
-from codebrain.signal import Band, load_record, save_record
+from codebrain.signal import Band, default_channel_names, load_record, save_record
 
 TINY_CFG = """
 data.channels = 2
@@ -232,6 +233,23 @@ def _empty_manifest(data_dir):
     (data_dir / "manifest.json").write_text(json.dumps(empty))
 
 
+def _halve_duration(samples):
+    return samples[:, : samples.shape[1] // 2]
+
+
+def _split_channels(samples):
+    # each channel's two halves become two channels of half the duration
+    return samples.reshape(2 * samples.shape[0], -1)
+
+
+def _reshape_every_other_record(data_dir, reshape):
+    """Rewrite records 1, 3, 5, ... with `reshape` applied to their samples."""
+    for name in json.loads((data_dir / "manifest.json").read_text())["files"][1::2]:
+        rec = load_record(data_dir / name)
+        samples = reshape(rec.samples)
+        save_record(dataclasses.replace(rec, samples=samples, channels=default_channel_names(len(samples))), data_dir / name)
+
+
 def _add_spike(data_dir):
     path = data_dir / "record_0003.bin"
     rec = load_record(path)
@@ -262,8 +280,15 @@ class TestConfigValidation:
 
     def test_invalid_dataclass_value_rejected(self, tmp_path):
         # parses fine, fails dataclass validation
-        cfg = _write_cfg(tmp_path, "stage1.mask_ratio = 1.5")
+        cfg = _write_cfg(tmp_path, "stage1.clip_norm = 0")
         assert run_cli("train-tokenizer", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("key", ["stage1.mask_ratio = 0.5", "stage2.epochs = 3"])
+    def test_stage_key_the_stage_does_not_read_rejected(self, tmp_path, capsys, key):
+        # only stage 2 masks positions and only stage 1 counts epochs
+        cfg = _write_cfg(tmp_path, key)
+        assert run_cli("train-tokenizer", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert run_cli("bench", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")) == 2
@@ -350,10 +375,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "command, text, stage",
-        [("train-tokenizer", "stage1.peak_lr = nan", "stage1"), ("train-ssm", "model.alpha = nan", "stage2")],
+        [
+            ("train-tokenizer", "stage1.peak_lr = nan", "stage1"),
+            ("train-ssm", "model.alpha = nan", "stage2"),
+            ("train-tokenizer", "stage1.peak_lr = inf", "stage1"),
+        ],
     )
     def test_nan_value_rejected_before_writing(self, pipeline, tmp_path, capsys, command, text, stage):
-        # a NaN compares false with every bound, so each check must be written to fail on it
+        # a NaN compares false with every bound, so each check must be written
+        # to fail on it; an infinite learning rate can only end in a non-finite step
         run, cfg = pipeline
         full = cfg.read_text() + f"{text}\npaths.data = {run / 'data'}\npaths.stage1 = {run / 'stage1' / 'final'}"
         out = tmp_path / "x"
@@ -536,6 +566,37 @@ class TestPrerequisites:
         assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, reshape, code",
+        [
+            ("train-tokenizer", _halve_duration, 3),
+            ("train-tokenizer", _split_channels, 3),
+            ("train-ssm", _halve_duration, 3),
+            ("train-ssm", _split_channels, 3),
+            ("probe", _split_channels, 3),
+            ("probe", _halve_duration, 0),
+            ("analyze", _halve_duration, 0),
+            ("analyze", _split_channels, 0),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)).strip("_"),
+    )
+    def test_records_of_mixed_shapes(self, pipeline, tmp_path, capsys, command, reshape, code):
+        # training batches whole records, and the probe head reads one vector
+        # per channel; extraction and analysis go record by record
+        run, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(run / "data", data)
+        _reshape_every_other_record(data, reshape)
+        text = cfg.read_text() + (
+            f"paths.data = {data}\npaths.stage1 = {run / 'stage1' / 'final'}\n"
+            f"paths.stage2 = {run / 'stage2' / 'final'}\n"
+        )
+        out = tmp_path / "x"
+        assert run_cli(command, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)) == code
+        if code:
+            assert re.search(r"record_\d{4}\.bin has \d+ channels x \d+ windows and record_\d{4}\.bin has", capsys.readouterr().err)
+            assert not out.exists()
 
     def test_divergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         def boom(run, args):

@@ -2,7 +2,8 @@
 module's `__all__` is bound in it, only the CLI and the training loop
 import `csv` (the CLI writes every run table, `pretrain` its history),
 only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
-state tree is read from its attributes, one CLI function loads,
+state tree is read from its attributes, only `ssm.EegssmModel` defines
+`forward`: every layer runs by `__call__`, one CLI function loads,
 preprocesses and patches every dataset record, and every config dataclass
 checks its own values in `__post_init__`, rejecting NaN in every float field.
 
@@ -125,6 +126,15 @@ def test_only_module_and_adamw_define_children():
         f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "children")
     )
     assert found == ["nn.py:Module", "pretrain.py:AdamW"]
+
+
+def test_only_the_backbone_defines_forward():
+    # layers run by `__call__`; the backbone's `forward` (features plus token
+    # logits) is the one named entry point beside `features`
+    found = sorted(
+        f"{p.relative_to(SRC)}:{name}" for p in MODULES for name in classes_defining(p.read_text(), "forward")
+    )
+    assert found == ["ssm.py:EegssmModel"]
 
 
 # every config dataclass, built with valid values

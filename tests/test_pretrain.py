@@ -253,7 +253,11 @@ class TestTrainConfig:
             TrainConfig(eps=0.0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-1e-3)
+        for peak_lr, min_lr in ((np.inf, 1e-6), (np.inf, np.inf), (1e-3, -1.0), (-1.0, -2.0)):
+            with pytest.raises(ValueError, match="finite lrs"):
+                TrainConfig(peak_lr=peak_lr, min_lr=min_lr)
         TrainConfig(peak_lr=1e-3, min_lr=1e-3, weight_decay=0.0)  # the bounds themselves are valid
+        TrainConfig(peak_lr=0.0, min_lr=0.0)
 
 
 class TestCheckpoint:

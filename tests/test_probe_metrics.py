@@ -284,13 +284,13 @@ class TestProbeHead:
 
     def test_forward_shape(self):
         x = Tensor(self.rng.normal(size=(5, 3, 6)).astype(np.float32))
-        out = self.head.forward(x)
+        out = self.head(x)
         assert out.shape == (5, 4)
         assert np.isfinite(out.data).all()
 
     def test_bad_feature_shape_rejected(self):
         with pytest.raises(ValueError, match="features"):
-            self.head.forward(Tensor(np.zeros((5, 2, 6), dtype=np.float32)))
+            self.head(Tensor(np.zeros((5, 2, 6), dtype=np.float32)))
 
     def test_too_few_classes_rejected(self):
         with pytest.raises(ValueError):
@@ -300,14 +300,14 @@ class TestProbeHead:
         cfg = ProbeConfig(hidden=16, compress=10, p_drop=0.5)
         head = ProbeHead(2, 4, 3, cfg, np.random.default_rng(1))
         x = Tensor(self.rng.normal(size=(4, 2, 4)).astype(np.float32))
-        np.testing.assert_array_equal(head.forward(x).data, head.forward(x).data)
+        np.testing.assert_array_equal(head(x).data, head(x).data)
 
     def test_state_dict_round_trip(self):
         state = self.head.state_dict()
         other = ProbeHead(3, 6, 4, self.cfg, np.random.default_rng(99))
         other.load_state_dict(state)
         x = Tensor(self.rng.normal(size=(2, 3, 6)).astype(np.float32))
-        np.testing.assert_array_equal(self.head.forward(x).data, other.forward(x).data)
+        np.testing.assert_array_equal(self.head(x).data, other(x).data)
 
     def test_gradient(self):
         x = self.rng.normal(size=(2, 3, 6))
@@ -317,11 +317,25 @@ class TestProbeHead:
             h = ProbeHead(3, 6, 4, self.cfg, np.random.default_rng(0))
             h.load_state_dict(self.head.state_dict())
             h.layer1.w = t  # splice the probed tensor into the forward pass
-            out = h.forward(Tensor(x))
+            out = h(Tensor(x))
             return (out * out).sum()
 
         err = finite_diff_check(fn, w.data.astype(np.float64), eps=1e-4, scale_relative=True)
         assert err < 1e-4
+
+
+class TestProbeConfig:
+    @pytest.mark.parametrize(
+        "lr, min_lr", [(np.inf, 1e-5), (1e-3, np.inf), (1e-3, -1.0), (1e-6, 1e-3)],
+        ids=["inf_lr", "inf_min_lr", "negative_min_lr", "lr_below_min_lr"],
+    )
+    def test_learning_rates_validated(self, lr, min_lr):
+        with pytest.raises(ValueError, match="finite lrs"):
+            ProbeConfig(lr=lr, min_lr=min_lr)
+
+    def test_bounds_are_valid(self):
+        ProbeConfig(lr=1e-3, min_lr=1e-3)
+        ProbeConfig(lr=0.0, min_lr=0.0)
 
 
 class TestTrainProbe:

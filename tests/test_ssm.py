@@ -18,12 +18,10 @@ from codebrain.ssm import (
     SgconvSpec,
     SwaParams,
     bench_backbones,
-    block_forward,
     build_kernel,
     gate,
     sgconv_forward,
     sgconv_param_count,
-    stack_forward,
     swa_forward,
 )
 
@@ -76,14 +74,14 @@ class TestBuildKernel:
         # L=8, d=2, alpha=1/2, all sub-kernel taps 1, no normalization:
         # sub-kernels [1,1], [0.5,0.5], then [0.25,0.25] upsampled x2
         w = Tensor(np.ones((1, 3, 2), dtype=np.float32))
-        spec = SgconvSpec(length=8, base=2, alpha=0.5, weights=w, normalize=False)
+        spec = SgconvSpec(alpha=0.5, weights=w, normalize=False)
         k = build_kernel(spec)
         expected = np.array([1, 1, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25], dtype=np.float32)
         np.testing.assert_allclose(k.data[0], expected, rtol=0, atol=1e-7)
 
     def test_hand_example_normalized(self):
         w = Tensor(np.ones((1, 3, 2), dtype=np.float32))
-        spec = SgconvSpec(length=8, base=2, alpha=0.5, weights=w, normalize=True)
+        spec = SgconvSpec(alpha=0.5, weights=w, normalize=True)
         k = build_kernel(spec)
         raw = np.array([1, 1, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(k.data[0], raw / raw.sum(), rtol=1e-6)
@@ -92,14 +90,14 @@ class TestBuildKernel:
         # d == L: one sub-kernel, kernel is w_0 itself (up to normalization)
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 1, 16)).astype(np.float32)
-        spec = SgconvSpec(length=16, base=16, alpha=0.5, weights=Tensor(w), normalize=False)
+        spec = SgconvSpec(alpha=0.5, weights=Tensor(w), normalize=False)
         np.testing.assert_allclose(build_kernel(spec).data, w[:, 0, :], rtol=0, atol=0)
 
     @pytest.mark.parametrize("length,base,n", [(1024, 16, 7), (8, 2, 3), (16, 16, 1), (64, 8, 4)])
     def test_subkernel_count_and_span(self, length, base, n):
         rng = np.random.default_rng(1)
         spec = make_spec(2, length, base, rng)
-        assert spec.n_subkernels == n
+        assert (spec.n_subkernels, spec.base, spec.length) == (n, base, length)
         lengths = [base * (2 ** max(i - 1, 0)) for i in range(n)]
         assert sum(lengths) == length
         assert build_kernel(spec).shape == (2, length)
@@ -114,7 +112,7 @@ class TestBuildKernel:
         # equal-scale sub-kernels with alpha <= 1: per-section max never grows
         rng = np.random.default_rng(3)
         w = np.ones((1, 5, 4), dtype=np.float32)
-        spec = SgconvSpec(length=64, base=4, alpha=0.7, weights=Tensor(w))
+        spec = SgconvSpec(alpha=0.7, weights=Tensor(w))
         k = build_kernel(spec).data[0]
         bounds = np.cumsum([0] + [4 * (2 ** max(i - 1, 0)) for i in range(5)])
         maxima = [np.abs(k[bounds[i] : bounds[i + 1]]).max() for i in range(5)]
@@ -122,18 +120,21 @@ class TestBuildKernel:
 
     def test_nearest_upsample_replicates(self):
         w = np.array([[[1.0, 2.0], [3.0, 5.0], [4.0, 8.0]]], dtype=np.float32)
-        spec = SgconvSpec(length=8, base=2, alpha=1.0, weights=Tensor(w), normalize=False)
+        spec = SgconvSpec(alpha=1.0, weights=Tensor(w), normalize=False)
         k = build_kernel(spec).data[0]
         np.testing.assert_allclose(k, [1, 2, 3, 5, 4, 4, 8, 8], atol=1e-7)
 
     def test_invalid_geometry_raises(self):
-        w = Tensor(np.ones((1, 3, 2), dtype=np.float32))
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            SgconvSpec(length=12, base=2, alpha=0.5, weights=w)  # 12/2 not a power of 2
+            SgconvSpec.create(1, 12, 2, rng)  # 12/2 not a power of 2
         with pytest.raises(ValueError):
-            SgconvSpec(length=8, base=3, alpha=0.5, weights=w)
-        with pytest.raises(ValueError):
-            SgconvSpec(length=8, base=2, alpha=0.5, weights=Tensor(np.ones((1, 2, 2), "f4")))
+            SgconvSpec.create(1, 8, 3, rng)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 0, 2), (1, 3, 0)])
+    def test_weights_without_a_geometry_raise(self, shape):
+        with pytest.raises(ValueError, match="weights"):
+            SgconvSpec(alpha=0.5, weights=Tensor(np.ones(shape, "f4")))
 
     def test_param_count_closed_form(self):
         assert sgconv_param_count(1, 1024, 16) == 16 * 7
@@ -147,7 +148,7 @@ class TestBuildKernel:
         probe = rng.normal(size=(2, 8))
 
         def fn(wt):
-            spec = SgconvSpec(length=8, base=2, alpha=0.5, weights=wt)
+            spec = SgconvSpec(alpha=0.5, weights=wt)
             return (build_kernel(spec) * Tensor(probe)).sum()
 
         err = finite_diff_check(fn, w0, eps=1e-4)
@@ -224,7 +225,7 @@ class TestSwaForward:
     @pytest.mark.parametrize("window", [1, 3, 5, 8, 31])
     def test_matches_banded_dense_oracle(self, window):
         rng = np.random.default_rng(30)
-        params = SwaParams.create(6, rng)
+        params = SwaParams(6, rng)
         x = rng.normal(size=(12, 6))
         y = swa_forward(x[None], params, window).data[0]
         ref = dense_attention_oracle(x, params, window)
@@ -232,7 +233,7 @@ class TestSwaForward:
 
     def test_window_one_is_value_projection(self):
         rng = np.random.default_rng(31)
-        params = SwaParams.create(4, rng)
+        params = SwaParams(4, rng)
         x = rng.normal(size=(9, 4)).astype(np.float32)
         y = swa_forward(x[None], params, 1).data[0]
         ref = params.o(params.v(Tensor(x))).data
@@ -240,7 +241,7 @@ class TestSwaForward:
 
     def test_huge_window_equals_dense(self):
         rng = np.random.default_rng(32)
-        params = SwaParams.create(5, rng)
+        params = SwaParams(5, rng)
         x = rng.normal(size=(7, 5))
         y = swa_forward(x[None], params, 2 * 7).data[0]
         ref = dense_attention_oracle(x, params, 10**9)
@@ -248,7 +249,7 @@ class TestSwaForward:
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(33)
-        params = SwaParams.create(3, rng)
+        params = SwaParams(3, rng)
         x = rng.normal(size=(4, 10, 3)).astype(np.float32)
         y = swa_forward(x, params, 5).data
         for b in range(4):
@@ -257,7 +258,7 @@ class TestSwaForward:
     def test_locality(self):
         # perturbing a token outside the window leaves an output unchanged
         rng = np.random.default_rng(34)
-        params = SwaParams.create(4, rng)
+        params = SwaParams(4, rng)
         x = rng.normal(size=(16, 4))
         x2 = x.copy()
         x2[10] += 3.0  # position 10 is outside window 5 centered at 0..7
@@ -268,14 +269,14 @@ class TestSwaForward:
 
     def test_invalid_window_raises(self):
         rng = np.random.default_rng(35)
-        params = SwaParams.create(2, rng)
+        params = SwaParams(2, rng)
         with pytest.raises(ValueError):
             swa_forward(np.zeros((1, 4, 2)), params, 0)
 
     def test_tape_size_independent_of_window(self):
         # the window is one node, not a graph node per offset
         rng = np.random.default_rng(37)
-        params = SwaParams.create(4, rng)
+        params = SwaParams(4, rng)
         x = Tensor(rng.normal(size=(2, 40, 4)).astype(np.float32), requires_grad=True)
         assert tape_size(swa_forward(x, params, 7)) == tape_size(swa_forward(x, params, 31))
 
@@ -284,7 +285,7 @@ class TestSwaForward:
         # the backward pass never holds a (B, S, W, F) array
         rng = np.random.default_rng(38)
         b, s, f, window = 2, 256, 16, 31
-        params = SwaParams.create(f, rng)
+        params = SwaParams(f, rng)
         x = Tensor(rng.normal(size=(b, s, f)).astype(np.float32), requires_grad=True)
         loss = swa_forward(x, params, window).sum()
         tracemalloc.start()
@@ -297,7 +298,7 @@ class TestSwaForward:
 
     def test_gradient(self):
         rng = np.random.default_rng(36)
-        params = SwaParams.create(3, rng)
+        params = SwaParams(3, rng)
         x0 = rng.normal(size=(1, 6, 3))
         probe = rng.normal(size=(1, 6, 3))
 
@@ -310,7 +311,7 @@ class TestSwaForward:
 class TestGateAndBlock:
     def test_gate_formula(self):
         rng = np.random.default_rng(40)
-        params = GateParams.create(3, rng)
+        params = GateParams(3, rng)
         a = rng.normal(size=(2, 5, 3)).astype(np.float32)
         b = rng.normal(size=(2, 5, 3)).astype(np.float32)
         z, y1, y2 = gate(Tensor(a), Tensor(b), params)
@@ -324,7 +325,7 @@ class TestGateAndBlock:
 
     def test_gate_shape_mismatch_raises(self):
         rng = np.random.default_rng(41)
-        params = GateParams.create(3, rng)
+        params = GateParams(3, rng)
         with pytest.raises(ValueError):
             gate(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), params)
 
@@ -334,7 +335,7 @@ class TestGateAndBlock:
         block.gate.out1.w.data[:] = 0
         block.gate.out1.b.data[:] = 0
         x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32))
-        x_next, _ = block_forward(block, x)
+        x_next, _ = block(x)
         np.testing.assert_array_equal(x_next.data, x.data)
 
     def test_block_tape_size(self):
@@ -351,7 +352,7 @@ class TestGateAndBlock:
         swa = 4 * lin + 2 + 1
         gate = 4 * lin + 4  # wf/wg/out1/out2; concat, tanh, sigmoid, product
         # x, the norm and its scale, the three mixers, the residual add
-        assert tape_size(*block_forward(block, x)) == 1 + 2 + sgconv + swa + gate + 1
+        assert tape_size(*block(x)) == 1 + 2 + sgconv + swa + gate + 1
 
     def test_block_gradient(self):
         rng = np.random.default_rng(43)
@@ -360,7 +361,7 @@ class TestGateAndBlock:
         probe = rng.normal(size=(1, 8, 3))
 
         def fn(xt):
-            x_next, skip = block_forward(block, xt)
+            x_next, skip = block(xt)
             return ((x_next + skip) * Tensor(probe)).sum()
 
         assert finite_diff_check(fn, x0, eps=1e-3) < 1e-3
@@ -371,13 +372,12 @@ class TestGateAndBlock:
         # branches, so the LAST block's residual conv (out1) cannot reach it.
         # Assert the dead set is exactly that conv and nothing else.
         rng = np.random.default_rng(44)
-        blocks = [EegssmBlock.create(4, 16, 4, 3, rng) for _ in range(2)]
-        x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32))
-        loss = (stack_forward(blocks, x) ** 2).sum()
-        backward(loss)
+        model = stack_model(2, rng, features=4, kernel_len=16, kernel_base=4)
+        patches = rng.normal(size=(2, 16, 8)).astype(np.float32)
+        backward((model.features(patches) ** 2).sum())
         structurally_dead = {"gate/out1/w", "gate/out1/b"}
-        for i, blk in enumerate(blocks):
-            last = i == len(blocks) - 1
+        for i, blk in enumerate(model.blocks):
+            last = i == len(model.blocks) - 1
             for name, p in blk.named_params().items():
                 if last and name in structurally_dead:
                     assert p.grad is None, f"block{i}/{name} unexpectedly live"
@@ -387,38 +387,48 @@ class TestGateAndBlock:
                 assert np.abs(p.grad).max() > 0, f"block{i}/{name} dead at init"
 
 
+def stack_model(blocks, rng, features=3, kernel_len=8, kernel_base=2):
+    """A backbone of `blocks` blocks over 8-sample patches, without dropout."""
+    cfg = EegssmConfig(
+        patch_len=8, features=features, blocks=blocks, kernel_len=kernel_len,
+        kernel_base=kernel_base, window=3, codebook_size=4, p_drop=0.0,
+    )
+    return EegssmModel(cfg, rng)
+
+
+def sum_of_skips(blocks, x, train=False, rng=None):
+    """The stack written out: each block feeds the next, and their skip
+    branches add up in block order."""
+    out = None
+    for block in blocks:
+        x, skip = block(x, train, rng)
+        out = skip if out is None else out + skip
+    return out
+
+
 class TestStack:
     def test_single_block_output_is_its_skip(self):
         rng = np.random.default_rng(50)
-        block = EegssmBlock.create(3, 8, 2, 3, rng)
-        x = Tensor(rng.normal(size=(1, 8, 3)).astype(np.float32))
-        out = stack_forward([block], x)
-        _, skip = block_forward(block, x)
-        np.testing.assert_array_equal(out.data, skip.data)
+        model = stack_model(1, rng)
+        patches = rng.normal(size=(1, 8, 8)).astype(np.float32)
+        _, skip = model.blocks[0](model.embed(Tensor(patches)))
+        np.testing.assert_array_equal(model.features(patches).data, skip.data)
 
     def test_output_is_sum_of_skips(self):
         rng = np.random.default_rng(51)
-        blocks = [EegssmBlock.create(3, 8, 2, 3, rng) for _ in range(3)]
-        x = Tensor(rng.normal(size=(1, 8, 3)).astype(np.float32))
-        out = stack_forward(blocks, x)
-        h = x
-        acc = None
-        for blk in blocks:
-            h, skip = block_forward(blk, h)
-            acc = skip if acc is None else acc + skip
-        np.testing.assert_allclose(out.data, acc.data, atol=0)
+        model = stack_model(3, rng)
+        patches = rng.normal(size=(1, 8, 8)).astype(np.float32)
+        ref = sum_of_skips(model.blocks, model.embed(Tensor(patches)))
+        np.testing.assert_array_equal(model.features(patches).data, ref.data)
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(52)
-        blocks = [EegssmBlock.create(3, 8, 2, 3, rng) for _ in range(2)]
-        x = Tensor(rng.normal(size=(1, 8, 3)).astype(np.float32))
-        fwd = stack_forward(blocks, x).data
-        rev = stack_forward(blocks[::-1], x).data
+        model = stack_model(2, rng)
+        patches = rng.normal(size=(1, 8, 8)).astype(np.float32)
+        fwd = model.features(patches).data
+        model.blocks = model.blocks[::-1]
+        rev = model.features(patches).data
         assert np.abs(fwd - rev).max() > 1e-6
-
-    def test_empty_stack_raises(self):
-        with pytest.raises(ValueError):
-            stack_forward([], Tensor(np.zeros((1, 4, 2))))
 
 
 class TestEegssmModel:
@@ -454,7 +464,7 @@ class TestEegssmModel:
         if masked:
             m = Tensor(mask.astype(np.float32)[..., None])
             e = e * (1.0 - m) + model.mask_embed * m
-        ref = stack_forward(model.blocks, e, train, np.random.default_rng(7))
+        ref = sum_of_skips(model.blocks, e, train, np.random.default_rng(7))
         np.testing.assert_array_equal(feats.data, ref.data)
         np.testing.assert_array_equal(out.logits_t.data, model.head_t(ref).data)
         np.testing.assert_array_equal(out.logits_f.data, model.head_f(ref).data)
