@@ -1,13 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A `Tensor` wraps an ndarray plus an optional gradient buffer. Operations
-record a closure that maps the output gradient to parent gradients; calling
-`backward` on a scalar walks the recorded graph once in reverse topological
-order and accumulates into `.grad`. The walk consumes the tape as it goes:
-each node drops its closure and its parents once its gradient has been
-passed on, so an intermediate the caller does not hold is freed as soon as
-the walk has passed it, and a second `backward` through the same graph
-raises instead of silently reusing stale closures.
+A `Tensor` wraps an ndarray plus an optional gradient buffer. Each recorded
+operation is a `_Node` apart from the Tensor it produced: the node holds the
+closure that maps the output gradient to parent gradients, its parents'
+gradient slots (their nodes, or leaf Tensors), its own gradient and a weak
+reference to its Tensor. So the tape holds no Tensor's values for it: an
+intermediate the caller does not hold is freed once its last forward
+consumer has run, unless an adjoint reads its values, and every closure
+keeps only the arrays whose values it reads (shapes, dtypes and
+requires-grad flags it keeps as plain values). Calling `backward` on a
+scalar walks the recorded nodes once in reverse topological order and
+accumulates into `.grad`. The walk consumes the tape as it goes: each node
+drops its closure and its parents once its gradient has been passed on, so
+what an adjoint kept is freed as soon as the walk has passed it, and a
+second `backward` through the same graph raises instead of silently reusing
+stale closures.
 
 Storage is float32 by default; float64 inputs stay float64 end to end, which
 is what the finite-difference checker relies on. Reductions (`sum`, `mean`)
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,17 +98,16 @@ def _as_array(data, dtype=None) -> np.ndarray:
 
 
 class Tensor:
-    """An ndarray with an optional gradient and a backward closure."""
+    """An ndarray with an optional gradient and, when an operation that
+    needs a gradient produced it, the tape node that records that operation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
-        self._done = False
+        self._node: _Node | None = None
 
     # ---- basic introspection -------------------------------------------
 
@@ -175,10 +182,17 @@ class Tensor:
         d = self.data
         out = d[key]
         shape = d.shape
+        # an integer or boolean array can pick an element twice, and `+=`
+        # would keep only one of its gradients; basic keys write disjointly
+        parts = key if isinstance(key, tuple) else (key,)
+        repeats = any(isinstance(k, (list, np.ndarray)) for k in parts)
 
         def vjp(g):
             buf = np.zeros(shape, dtype=g.dtype)
-            buf[key] += g  # keys are basic slices: disjoint writes
+            if repeats:
+                np.add.at(buf, key, g)
+            else:
+                buf[key] += g
             return (buf,)
 
         return _from_op(out, (self,), vjp)
@@ -211,16 +225,19 @@ class Tensor:
         return _from_op(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def relu(self):
-        d = self.data
-        return _from_op(np.maximum(d, 0.0), (self,), lambda g: (g * (d > 0),))
+        out = np.maximum(self.data, 0.0)  # positive exactly where the input is
+        return _from_op(out, (self,), lambda g: (g * (out > 0),))
 
     def elu(self, alpha: float = 1.0):
+        if alpha < 0:  # the adjoint reads the input's sign from the output
+            raise ValueError(f"elu needs a non-negative alpha, got {alpha}")
         d = self.data
         neg = alpha * np.expm1(np.minimum(d, 0.0))
         out = np.where(d > 0, d, neg).astype(d.dtype)
 
         def vjp(g):
-            return (g * np.where(d > 0, 1.0, neg + alpha),)
+            # out > 0 exactly where d > 0, and out equals neg elsewhere
+            return (g * np.where(out > 0, 1.0, out + alpha),)
 
         return _from_op(out, (self,), vjp)
 
@@ -233,9 +250,10 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         d = self.data
         out = d.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(d.dtype)
+        shape = d.shape
 
         def vjp(g):
-            return (_spread(g, d.shape, axis, keepdims),)
+            return (_spread(g, shape, axis, keepdims),)
 
         return _from_op(out, (self,), vjp)
 
@@ -243,9 +261,10 @@ class Tensor:
         d = self.data
         out = d.mean(axis=axis, keepdims=keepdims, dtype=np.float64).astype(d.dtype)
         count = d.size if axis is None else np.prod([d.shape[a] for a in _axes(axis, d.ndim)])
+        shape = d.shape
 
         def vjp(g):
-            return (_spread(g, d.shape, axis, keepdims) / count,)
+            return (_spread(g, shape, axis, keepdims) / count,)
 
         return _from_op(out, (self,), vjp)
 
@@ -254,8 +273,8 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        d = self.data
-        return _from_op(d.reshape(shape), (self,), lambda g: (g.reshape(d.shape),))
+        before = self.data.shape
+        return _from_op(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -273,19 +292,38 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Node:
+    """One recorded operation.
+
+    `parents` holds one gradient slot per operand, in the operand order the
+    closure returns gradients in: the operand's node when an operation
+    produced it, the operand itself when it is a leaf that needs a
+    gradient, and None when it needs none. `out` is a weak reference to the
+    Tensor the operation produced, which `backward` hands its gradient when
+    the caller still holds it. A consumed node has no `vjp`.
+    """
+
+    __slots__ = ("vjp", "parents", "grad", "dtype", "out")
+
+    def __init__(self, vjp: Callable[[np.ndarray], tuple], parents: tuple, dtype, out: Tensor):
+        self.vjp: Callable[[np.ndarray], tuple] | None = vjp
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+        self.out = weakref.ref(out)
+
+
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._done = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out._node = None
+    out.requires_grad = False
+    if _grad_enabled:
+        slots = tuple([p._node or (p if p.requires_grad else None) for p in parents])
+        if slots.count(None) < len(slots):
+            out.requires_grad = True
+            out._node = _Node(vjp, slots, data.dtype, out)
     return out
 
 
@@ -320,62 +358,68 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
+        return (_unbroadcast(g, sa) if ra else None, _unbroadcast(g, sb) if rb else None)
 
     return _from_op(out, (a, b), vjp)
 
 
 def _sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
-        )
+        return (_unbroadcast(g, sa) if ra else None, _unbroadcast(-g, sb) if rb else None)
 
     return _from_op(out, (a, b), vjp)
 
 
+# `_mul` and `_matmul` keep each factor only for the other factor's adjoint,
+# and `_div` its numerator only for the denominator's
+
+
 def _mul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    out = da * db
+    out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    fa = a.data if b.requires_grad else None
+    fb = b.data if a.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * db, da.shape) if a.requires_grad else None,
-            _unbroadcast(g * da, db.shape) if b.requires_grad else None,
+            _unbroadcast(g * fb, sa) if fb is not None else None,
+            _unbroadcast(g * fa, sb) if fa is not None else None,
         )
 
     return _from_op(out, (a, b), vjp)
 
 
 def _div(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    out = da / db
+    db = b.data
+    out = a.data / db
+    sa, ra = a.shape, a.requires_grad
+    num = a.data if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g / db, da.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * da / (db * db), db.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / db, sa) if ra else None
+        gb = _unbroadcast(-g * num / (db * db), db.shape) if num is not None else None
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp)
 
 
 def _matmul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    if da.ndim < 2 or db.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D; reshape vectors first")
-    out = da @ db
+    out = a.data @ b.data
+    sa, sb = a.shape, b.shape
+    fa = a.data if b.requires_grad else None
+    fb = b.data if a.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g @ db.swapaxes(-1, -2), da.shape) if a.requires_grad else None
-        gb = _unbroadcast(da.swapaxes(-1, -2) @ g, db.shape) if b.requires_grad else None
+        ga = _unbroadcast(g @ fb.swapaxes(-1, -2), sa) if fb is not None else None
+        gb = _unbroadcast(fa.swapaxes(-1, -2) @ g, sb) if fa is not None else None
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp)
@@ -404,9 +448,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("stack needs at least one tensor")
     out = np.stack([t.data for t in tensors], axis=axis)
+    n = len(tensors)
 
     def vjp(g):
-        parts = np.split(g, len(tensors), axis=axis)
+        parts = np.split(g, n, axis=axis)
         return tuple(p.squeeze(axis=axis) for p in parts)
 
     return _from_op(out, tuple(tensors), vjp)
@@ -417,11 +462,11 @@ def take_rows(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError("row index out of range")
-    d = table.data
-    out = d[idx]
+    out = table.data[idx]
+    shape = table.shape
 
     def vjp(g):
-        buf = np.zeros(d.shape, dtype=g.dtype)
+        buf = np.zeros(shape, dtype=g.dtype)
         np.add.at(buf, idx, g)
         return (buf,)
 
@@ -449,11 +494,11 @@ def repeat_last(t: Tensor, reps: int) -> Tensor:
     """Nearest-neighbour upsampling of the last axis by an integer factor."""
     if reps < 1:
         raise ValueError("repeat factor must be >= 1")
-    d = t.data
-    out = np.repeat(d, reps, axis=-1)
+    out = np.repeat(t.data, reps, axis=-1)
+    shape = t.shape + (reps,)
 
     def vjp(g):
-        return (g.reshape(d.shape + (reps,)).sum(axis=-1),)
+        return (g.reshape(shape).sum(axis=-1),)
 
     return _from_op(out, (t,), vjp)
 
@@ -530,15 +575,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         return p if keep else stats
 
     saved = [forward(c) for c in chunks]
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):
         gq = gkt = gv = None  # gkt: the key gradient as formed, (..., d, S)
         gs_type = np.result_type(g, vd)
-        if v.requires_grad:
+        if rv:
             gv = np.empty(vd.shape, np.result_type(pt, g))
-        if q.requires_grad:
+        if rq:
             gq = np.empty(qd.shape, np.result_type(gs_type, kd))
-        if k.requires_grad:
+        if rk:
             gkt = np.empty(kd.swapaxes(-1, -2).shape, np.result_type(qd, gs_type))
 
         def adjoint(c, p):
@@ -611,6 +657,8 @@ def window_attention(
     mask = _dropout_mask(p.shape, p_drop, rng, p.dtype) if p_drop > 0 else None
     pd = p if mask is None else p * mask
     out = (pd.reshape(b, s, 1, w) @ values).reshape(b, s, f)
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    out_type, k_type, v_type = out.dtype, kd.dtype, vd.dtype
 
     def overlap_add(weights, rows, dtype):
         # row i: weights[:, i + half - j, j] * rows[:, i + half - j], j = 0 .. W-1 in order
@@ -621,18 +669,18 @@ def window_attention(
 
     def vjp(g):
         gk = gq = gv = None
-        g = np.asarray(g, dtype=out.dtype)
-        if v.requires_grad:
-            gv = overlap_add(pd, g, vd.dtype)
-        if q.requires_grad or k.requires_grad:
+        g = np.asarray(g, dtype=out_type)
+        if rv:
+            gv = overlap_add(pd, g, v_type)
+        if rq or rk:
             gp = (g.reshape(b, s, 1, f) @ values.swapaxes(-1, -2)).reshape(b, s, w)
             if mask is not None:
                 gp = gp * mask
             gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True))  # softmax adjoint
-            if q.requires_grad:
+            if rq:
                 gq = (keys.swapaxes(-1, -2) @ gz.reshape(b, s, w, 1)).reshape(b, s, f)
-            if k.requires_grad:
-                gk = overlap_add(gz, qd, kd.dtype)
+            if rk:
+                gk = overlap_add(gz, qd, k_type)
         return (gk, gq, gv)
 
     return _from_op(out, (k, q, v), vjp)
@@ -646,28 +694,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     after the reshape otherwise; the matmul adjoints read it cast to the
     product's dtype.
     """
-    xd, wd, bd = x.data, w.data, b.data
+    xd, wd = x.data, w.data
     d_out = wd.shape[1]
     flat = xd if xd.ndim == 2 else xd.reshape(-1, wd.shape[0])
     mm_dtype = np.result_type(flat, wd)
-    out = flat @ wd + bd
+    out = flat @ wd + b.data
+    out_type = out.dtype
     if xd.ndim != 2:
         out = out.reshape(xd.shape[:-1] + (d_out,))
+    nd, x_shape, x_type, b_shape, rb = xd.ndim, xd.shape, xd.dtype, b.shape, b.requires_grad
+    fx = flat if w.requires_grad else None  # the input, for the weight's adjoint only
+    fw = wd if x.requires_grad else None
 
     def vjp(g):
         gx = gw = gb = None
-        if xd.ndim != 2:
-            g = np.asarray(g.reshape(-1, d_out), dtype=out.dtype)
-        if b.requires_grad:
-            gb = _unbroadcast(g, bd.shape)
-        if x.requires_grad or w.requires_grad:
+        if nd != 2:
+            g = np.asarray(g.reshape(-1, d_out), dtype=out_type)
+        if rb:
+            gb = _unbroadcast(g, b_shape)
+        if fx is not None or fw is not None:
             g = np.asarray(g, dtype=mm_dtype)
-            if x.requires_grad:
-                gx = g @ wd.swapaxes(-1, -2)
-                if xd.ndim != 2:
-                    gx = np.asarray(gx, dtype=xd.dtype).reshape(xd.shape)
-            if w.requires_grad:
-                gw = flat.swapaxes(-1, -2) @ g
+            if fw is not None:
+                gx = g @ fw.swapaxes(-1, -2)
+                if nd != 2:
+                    gx = np.asarray(gx, dtype=x_type).reshape(x_shape)
+            if fx is not None:
+                gw = fx.swapaxes(-1, -2) @ g
         return (gx, gw, gb)
 
     return _from_op(out, (x, w, b), vjp)
@@ -695,20 +747,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
     r = ve**0.5
     out = c / r * gd + bd
     count = np.prod([xd.shape[a] for a in _axes(axis, xd.ndim)])
+    x_shape, mu_shape, b_shape = xd.shape, mu.shape, bd.shape
+    rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def vjp(g):
         gc = gmu = ggamma = gbeta = None
-        if beta.requires_grad:
-            gbeta = _unbroadcast(g, bd.shape)
-        if x.requires_grad or gamma.requires_grad:
+        if rb:
+            gbeta = _unbroadcast(g, b_shape)
+        if rx or rg:
             gh = np.asarray(g, dtype=np.result_type(dt, gd))
-            if gamma.requires_grad:
+            if rg:
                 # recomputed, not kept; named so that numpy cannot reuse its
                 # buffer for the product, which would change the product's
                 # memory order, and so the order of the sum, from the chain's
                 xn = c / r
                 ggamma = _unbroadcast(gh * xn, gd.shape)
-            if x.requires_grad:
+            if rx:
                 gxn = np.asarray(gh * gd, dtype=dt)
                 gr = _unbroadcast(-gxn * c / (r * r), r.shape)
                 gve = gr * 0.5 * ve**-0.5
@@ -716,7 +770,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
                 t = gsq * c  # both factors of c * c
                 gc = gxn / r + t
                 gc = gc + t
-                gmu = _spread(_unbroadcast(-gc, mu.shape), xd.shape, axis, True) / count
+                gmu = _spread(_unbroadcast(-gc, mu_shape), x_shape, axis, True) / count
         return (gc, gmu, ggamma, gbeta)
 
     return _from_op(out, (x, x, gamma, beta), vjp)
@@ -740,13 +794,14 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
     den = mse**0.5
     out = xd * sd / den
     count = np.prod([xd.shape[-1]])
+    rx, rs = x.requires_grad, scale.requires_grad
 
     def vjp(g):
         gx = gs = t = None
         gnum = np.asarray(g / den, dtype=np.result_type(dt, sd))
-        if scale.requires_grad:
+        if rs:
             gs = _unbroadcast(gnum * xd, sd.shape)
-        if x.requires_grad:
+        if rx:
             gx = gnum * sd
             num = xd * sd  # recomputed rather than kept from the forward pass
             gden = np.asarray(_unbroadcast(-g * num / (den * den), den.shape), dtype=dt)
@@ -778,11 +833,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     picked = shifted.reshape(-1, k)[np.arange(flat_idx.size), flat_idx]
     out = (lse - picked.reshape(lse.shape)).astype(d.dtype)
     prob = (e / e.sum(axis=-1, keepdims=True)).astype(d.dtype)
+    shape = d.shape
 
     def vjp(g):
         gr = prob.copy().reshape(-1, k)
         gr[np.arange(flat_idx.size), flat_idx] -= 1.0
-        gr = gr.reshape(d.shape)
+        gr = gr.reshape(shape)
         return (gr * np.expand_dims(g, -1),)
 
     return _from_op(out, (logits,), vjp)
@@ -809,20 +865,25 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     else:
         parents = (x, w)
     out = out.astype(np.result_type(xd, wd), copy=False)
+    # the windows of the padded input, for the filters' adjoint only
+    xw = win if w.requires_grad else None
+    fw = wd if x.requires_grad else None
+    padded, length = xp.shape, xd.shape[2]
+    biased, rb = b is not None, b is not None and b.requires_grad
 
     def vjp(g):
         dx = dw = None
-        if x.requires_grad:
-            dxp = np.zeros_like(xp, dtype=g.dtype)
+        if fw is not None:
+            dxp = np.zeros(padded, dtype=g.dtype)
             for t in range(k):
                 dxp[:, :, t : t + stride * lout : stride] += np.einsum(
-                    "bol,oc->bcl", g, wd[:, :, t], optimize=True
+                    "bol,oc->bcl", g, fw[:, :, t], optimize=True
                 )
-            dx = dxp[:, :, pad : pad + xd.shape[2]] if pad else dxp
-        if w.requires_grad:
-            dw = np.einsum("bol,bclk->ock", g, win, optimize=True)
-        if b is not None:
-            return (dx, dw, g.sum(axis=(0, 2)) if b.requires_grad else None)
+            dx = dxp[:, :, pad : pad + length] if pad else dxp
+        if xw is not None:
+            dw = np.einsum("bol,bclk->ock", g, xw, optimize=True)
+        if biased:
+            return (dx, dw, g.sum(axis=(0, 2)) if rb else None)
         return (dx, dw)
 
     return _from_op(out, parents, vjp)
@@ -836,16 +897,18 @@ def fft_convolve(u: Tensor, k: Tensor) -> Tensor:
     transform path.
     """
     u, k = _wrap(u), _wrap(k)
-    ud, kd = u.data, k.data
-    out = fourier.fft_convolve_arrays(ud, kd)
+    out = fourier.fft_convolve_arrays(u.data, k.data)
+    su, sk = u.shape, k.shape
+    fu = u.data if k.requires_grad else None  # each operand, for the other's adjoint only
+    fk = k.data if u.requires_grad else None
 
     def vjp(g):
         gf = g[..., ::-1]
         du = dk = None
-        if u.requires_grad:
-            du = _unbroadcast(fourier.fft_convolve_arrays(gf, kd)[..., ::-1], ud.shape)
-        if k.requires_grad:
-            dk = _unbroadcast(fourier.fft_convolve_arrays(gf, ud)[..., ::-1], kd.shape)
+        if fk is not None:
+            du = _unbroadcast(fourier.fft_convolve_arrays(gf, fk)[..., ::-1], su)
+        if fu is not None:
+            dk = _unbroadcast(fourier.fft_convolve_arrays(gf, fu)[..., ::-1], sk)
         return (du, dk)
 
     return _from_op(out, (u, k), vjp)
@@ -857,11 +920,13 @@ def fft_convolve(u: Tensor, k: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar `loss` into every reachable tensor.
 
-    The walk pops each node off the topological order, passes its gradient
-    on to its parents, then drops its closure and its parents and marks it
-    consumed. So the graph is released as it is walked: an intermediate is
-    freed as soon as the walk has passed it unless the caller holds it, and
-    a held one keeps its `.grad`. Leaves keep theirs too.
+    The walk pops each node off the topological order, hands its gradient
+    to its Tensor if the caller still holds that, passes it on to its
+    parents' slots, then drops its closure and its parents. So the graph is
+    released as it is walked: what a closure kept is freed as soon as the
+    walk has passed it, a held intermediate keeps its `.grad`, and leaves
+    keep theirs, each its own copy. A loss that is itself a leaf gets a
+    gradient of one.
 
     Raises ValueError for non-scalar losses, MissingGradientError when the
     loss is detached from all gradient-requiring tensors, and RuntimeError
@@ -869,7 +934,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._done:
+    root = loss._node
+    if root is not None and root.vjp is None:
         raise RuntimeError(
             "backward was already run on this graph; rerun the forward pass to record a fresh tape"
         )
@@ -877,10 +943,15 @@ def backward(loss: Tensor) -> None:
         raise MissingGradientError(
             "loss is detached from every gradient-requiring tensor; nothing to differentiate"
         )
+    loss.grad = np.ones_like(loss.data)
+    if root is None:
+        return
+    root.grad = loss.grad
 
-    topo: list[Tensor] = []
+    # leaves end the walk and run no closure, so only nodes are ordered
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack_: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack_: list[tuple[_Node, bool]] = [(root, False)]
     while stack_:
         node, expanded = stack_.pop()
         if expanded:
@@ -890,28 +961,29 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack_.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in seen:
                 stack_.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._vjp is None:
+        held = node.out()
+        if held is not None:
+            held.grad = node.grad
+        if node.vjp is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
+        grads = node.vjp(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if parent is None or g is None:
                 continue
             if parent.grad is None:
                 # a leaf owns its gradient (clip_grad_norm scales it in
-                # place); an inner node only reads it, so a view will do
-                if parent._parents:
-                    parent.grad = np.asarray(g, dtype=parent.data.dtype)
+                # place); a node only reads it, so a view will do
+                if type(parent) is _Node:
+                    parent.grad = np.asarray(g, dtype=parent.dtype)
                 else:
                     parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
             else:
                 parent.grad = parent.grad + g
-        node._parents = ()  # release the graph behind this node
-        node._vjp = None
-        node._done = True
+        node.parents = ()  # release the graph behind this node
+        node.vjp = None

@@ -219,15 +219,11 @@ def patch(record: EegRecord, patch_seconds: float = 1.0) -> PatchGrid:
     )
 
 
-def _polar_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw two-sided amplitude and phase spectra along the last axis; the
-    phase lies in (-pi, pi]."""
-    spec = fourier.dft_many(x)
-    amp = np.abs(spec)
+def _phase(spec: np.ndarray) -> np.ndarray:
+    """The phase of a spectrum, in (-pi, pi]."""
     ph = np.arctan2(spec.imag, spec.real)
     # fold the closed end of the interval: exactly -pi becomes +pi
-    ph = np.where(ph <= -np.pi, ph + 2.0 * np.pi, ph)
-    return amp, ph
+    return np.where(ph <= -np.pi, ph + 2.0 * np.pi, ph)
 
 
 def _zscore(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -235,11 +231,19 @@ def _zscore(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     return z.astype(np.float32)
 
 
+def _zscored_amplitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-sided amplitude spectrum of `x` along its last axis, z-scored
+    over its bins, float32, and the complex spectrum it was taken from.
+    `freq_features` and `tokenizer.tokenize` share it."""
+    spec = fourier.dft_many(np.asarray(x, dtype=np.float64))
+    return _zscore(np.abs(spec)), spec
+
+
 def freq_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(amplitude, phase) spectra of one patch (1-D) or a batch (..., T) of
     patches, each z-scored over its bins, float32, the shape of `x`."""
-    amp, ph = _polar_features(np.asarray(x, dtype=np.float64))
-    return _zscore(amp), _zscore(ph)
+    amp, spec = _zscored_amplitude(x)
+    return amp, _zscore(_phase(spec))
 
 
 # ---- synthetic generator ---------------------------------------------------

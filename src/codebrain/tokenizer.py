@@ -29,7 +29,7 @@ from .numerics import (
     no_grad,
     take_rows,
 )
-from .signal import PatchGrid, freq_features
+from .signal import PatchGrid, _zscored_amplitude, freq_features
 
 __all__ = [
     "Codebook",
@@ -411,13 +411,22 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
 
 
 def tokenize(model: TokenizerModel, grid: PatchGrid) -> TokenGrid:
-    """Deterministically map every patch of a record to its (z_t, z_f) pair."""
-    batch = make_stage1_batch([grid])
+    """Deterministically map every patch of a record to its (z_t, z_f) pair.
+
+    Builds only the encoder's inputs, as `make_stage1_batch` builds them for
+    a batch of this one record: no phase spectrum, no reconstruction targets.
+    """
+    c, n, t = grid.patches.shape
+    amp, _ = _zscored_amplitude(grid.patches)
     with no_grad():
-        e = model.encode(batch.patches, batch.freq_in, batch.positions, train=False)
+        e = model.encode(
+            grid.patches.reshape(1, c * n, t).astype(np.float32),
+            amp.reshape(1, c * n, t)[..., : t // 2 + 1].copy(),
+            np.arange(c * n)[None],
+            train=False,
+        )
         e_d = model.down(e)
     flat = e_d.data.reshape(-1, model.config.code_dim)
-    c, n = grid.patches.shape[:2]
     z_t = model.codebook_t.nearest(flat).reshape(c, n)
     z_f = model.codebook_f.nearest(flat).reshape(c, n)
     return TokenGrid(z_t=z_t.astype(np.int32), z_f=z_f.astype(np.int32))

@@ -1,6 +1,8 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
+import dataclasses
 import tracemalloc
+import types
 import weakref
 import zlib
 
@@ -31,8 +33,12 @@ from codebrain.numerics import (
     take_rows,
     window_attention,
 )
-from codebrain.numerics.tensor import _ATTENTION_CHUNK_BYTES, _from_op
-from codebrain.pretrain import clip_grad_norm
+from codebrain.numerics.tensor import _ATTENTION_CHUNK_BYTES, _from_op, _Node
+from codebrain.pretrain import clip_grad_norm, masked_token_loss
+from codebrain.signal import patch, preprocess, synth_generate
+from codebrain.ssm import EegssmModel
+from codebrain.tokenizer import TokenizerModel, make_stage1_batch, stage1_losses
+from test_acceptance import DESK_MODEL, DESK_SPEC, DESK_TOKENIZER
 
 TOL = 1e-4  # primitive-level relative tolerance vs central differences
 
@@ -89,7 +95,7 @@ class TestGraphSemantics:
         with no_grad():
             y = x * 2.0
         assert not y.requires_grad
-        assert y._parents == ()
+        assert y._node is None
 
     def test_grad_shape_matches_data(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -122,17 +128,28 @@ class TestGraphSemantics:
 
 
 class TestReleasedTape:
-    def test_unheld_intermediate_freed_by_backward(self):
+    def test_unheld_intermediate_no_adjoint_reads_freed_before_backward(self):
+        # exp's adjoint reads its output, and the product's only the constant
         x = Tensor(np.arange(4.0), requires_grad=True)
         mid = x * 2.0
         freed = weakref.ref(mid.data)
         loss = mid.exp().sum()
         del mid
-        assert freed() is not None  # the graph behind loss holds it
+        assert freed() is None
+        backward(loss)
+        assert loss._node.parents == () and loss._node.vjp is None
+        np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_unheld_intermediate_an_adjoint_reads_freed_by_backward(self):
+        x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+        mid = x * 2.0
+        freed = weakref.ref(mid.data)
+        loss = mid.log().sum()
+        del mid
+        assert freed() is not None  # log's adjoint divides by it
         backward(loss)
         assert freed() is None
-        assert loss._parents == ()
-        np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
+        np.testing.assert_array_equal(x.grad, 2.0 / (2.0 * x.data))
 
     def test_held_intermediate_keeps_its_grad(self):
         x = Tensor(np.arange(3.0), requires_grad=True)
@@ -148,17 +165,65 @@ class TestReleasedTape:
         with pytest.raises(RuntimeError):
             backward(s)
 
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "stage2_dropout"])
+    def test_full_tape_closures_keep_no_tensor(self, stage):
+        # every adjoint keeps arrays and plain values, never a Tensor: a kept
+        # Tensor would keep its values alive whether or not the adjoint reads them
+        spec = dataclasses.replace(DESK_SPEC, records_per_class=1)
+        grids = [patch(preprocess(r), patch_seconds=1.0) for r in synth_generate(spec, seed=0)[:2]]
+        rng = np.random.default_rng(0)
+        if stage == "stage1":
+            model = TokenizerModel(DESK_TOKENIZER, rng)
+            loss = stage1_losses(model, make_stage1_batch(grids), train=True)["total"]
+        else:
+            config = dataclasses.replace(DESK_MODEL, p_drop=0.1 if stage == "stage2_dropout" else 0.0)
+            model = EegssmModel(config, rng)
+            x = np.stack([g.patches.reshape(-1, config.patch_len) for g in grids]).astype(np.float32)
+            mask = rng.random(x.shape[:2]) < 0.5
+            tokens = [rng.integers(0, config.codebook_size, size=x.shape[:2]) for _ in range(2)]
+            loss = masked_token_loss(model.forward(x, mask, train=True, rng=rng), tokens, mask)
+        nodes = [n for n in _tape(loss) if isinstance(n, _Node)]
+        assert len(nodes) > 50
+        held = [(n.vjp.__qualname__, type(v).__name__) for n in nodes for v in closure_values(n.vjp) if isinstance(v, Tensor)]
+        assert held == []
 
-def _tape(t: Tensor) -> list[Tensor]:
-    """Every tensor reachable from `t` through recorded parents."""
-    seen, todo, out = set(), [t], []
+
+def _tape(*roots: Tensor) -> list:
+    """Every node reachable from `roots` through recorded parent slots, and
+    every leaf that needs a gradient among those slots. A root that is a
+    leaf stands for itself."""
+    seen, todo, out = set(), [t if t._node is None else t._node for t in roots], []
     while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            todo.extend(node._parents)
+        item = todo.pop()
+        if item is not None and id(item) not in seen:
+            seen.add(id(item))
+            out.append(item)
+            if isinstance(item, _Node):
+                todo.extend(item.parents)
     return out
+
+
+def closure_values(fn) -> list:
+    """Every value the closure `fn` keeps, looking through the closures,
+    tuples and lists it keeps."""
+    seen, todo, out = set(), [fn], []
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in value.__closure__ or ())
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def tape_arrays(tape: list) -> list[np.ndarray]:
+    """Every array the adjoints of the nodes on `tape` keep."""
+    return [v for n in tape if isinstance(n, _Node) for v in closure_values(n.vjp) if isinstance(v, np.ndarray)]
 
 
 # binary ops whose vjp skips the adjoint of a constant operand
@@ -188,7 +253,7 @@ class TestConstantOperands:
 
         ops = [Tensor(a0, requires_grad=const != 0), Tensor(b0, requires_grad=const != 1)]
         out = fn(*ops)
-        assert out._vjp(np.ones_like(out.data))[const] is None
+        assert out._node.vjp(np.ones_like(out.data))[const] is None
         backward((out * Tensor(probe)).sum())
         assert ops[const].grad is None
         np.testing.assert_array_equal(ops[1 - const].grad, both[1 - const].grad)
@@ -241,8 +306,8 @@ class TestAttention:
         rng = np.random.default_rng(44)
         arrays = [rng.normal(size=(2, 6, s, 8)).astype(np.float32) for _ in range(3)]
         g = rng.normal(size=(2, 6, s, 8)).astype(np.float32)
-        full = attention(*(Tensor(x, requires_grad=True) for x in arrays), 0.5)._vjp(g)
-        one = attention(*(Tensor(x, requires_grad=i == which) for i, x in enumerate(arrays)), 0.5)._vjp(g)
+        full = attention(*(Tensor(x, requires_grad=True) for x in arrays), 0.5)._node.vjp(g)
+        one = attention(*(Tensor(x, requires_grad=i == which) for i, x in enumerate(arrays)), 0.5)._node.vjp(g)
         assert [i for i, grad in enumerate(one) if grad is not None] == [which]
         np.testing.assert_array_equal(one[which], full[which])
 
@@ -275,16 +340,21 @@ class TestAttention:
 
         assert finite_diff_check(fn, qkv[which], eps=1e-5) < 1e-6
 
-    def test_self_attention_tape_holds_no_scores(self):
-        # the scores, their scaled copy and the weights stay off the tape:
-        # the core is one node between the head split and the merge
+    @pytest.mark.parametrize("s,kept", [(9, [(2, 2, 9, 9)]), (1024, [])], ids=["kept", "chunked"])
+    def test_self_attention_tape_holds_no_scores(self, s, kept):
+        # the scores and their scaled copy stay off the tape: the core is one
+        # node between the head split and the merge, and of all the arrays
+        # the tape's adjoints keep, only the core's weights are (S, S), and
+        # only while they fit the chunk budget
         rng = np.random.default_rng(43)
-        s, dim, heads = 9, 8, 2
+        dim, heads = 8, 2
         x = Tensor(rng.normal(size=(2, s, dim)).astype(np.float32), requires_grad=True)
         tape = _tape(SelfAttention(dim, heads, rng)(x))
         lin = 3  # w, b, the linear node
         assert len(tape) == 1 + 4 * lin + 3 * 2 + 1 + 2  # x, q/k/v/o, head splits, core, merge
-        assert not [t.shape for t in tape if t.shape[-2:] == (s, s)]
+        leaves = [t.data for t in tape if isinstance(t, Tensor)]
+        assert len(leaves) == 1 + 4 * 2
+        assert [a.shape for a in leaves + tape_arrays(tape) if a.shape[-2:] == (s, s)] == kept
 
     def test_transformer_layer_tape_size(self):
         # every Linear and LayerNorm is one node beside its parameters
@@ -516,7 +586,7 @@ class TestFusedLayers:
         rng = np.random.default_rng(48)
         x = Tensor(rng.normal(size=(4, 3, 10)).astype(np.float32), requires_grad=True)
         tape = _tape(BatchNorm1d(3)(x, train=True))
-        assert sum(t._vjp is not None for t in tape) == 3  # two reshapes and the norm
+        assert sum(isinstance(t, _Node) for t in tape) == 3  # two reshapes and the norm
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
     def test_linear_gradient(self, which):
@@ -572,6 +642,12 @@ class TestPointwisePrimitives:
         x = np.where(np.abs(x) < 0.1, 0.5, x)
         err = finite_diff_check(lambda t: t.elu().sum(), Tensor(x), eps=1e-4)
         assert err < TOL
+
+    def test_elu_rejects_negative_alpha(self):
+        # the adjoint reads the input's sign from the output, which a
+        # negative alpha would flip below zero
+        with pytest.raises(ValueError):
+            Tensor(np.ones(3), requires_grad=True).elu(alpha=-0.5)
 
     def test_abs_gradient_away_from_zero(self):
         rng = np.random.default_rng(4)
@@ -656,6 +732,35 @@ class TestStructuralPrimitives:
         rows = take_rows(table, np.array([0, 0, 2]))
         backward(rows.sum())
         np.testing.assert_allclose(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "key,want",
+        [
+            (np.array([0, 0, 1]), [2.0, 1.0, 0.0]),
+            ([2, 0, 2, 2], [1.0, 0.0, 3.0]),
+            (np.array([[1, 1], [1, 0]]), [1.0, 3.0, 0.0]),
+            (np.array([True, False, True]), [1.0, 0.0, 1.0]),
+        ],
+        ids=["int_array", "int_list", "int_array_2d", "bool_mask"],
+    )
+    def test_getitem_gradient_counts_repeated_indices(self, key, want):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        backward(x[key].sum())
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (slice(1, None), np.array([0, 2, 0, 0])),
+            np.array([[True, False, True, True], [False, True, False, False], [True, True, False, True]]),
+            (np.array([2, 0, 2]), slice(None, None, 2)),
+        ],
+        ids=["slice_and_repeats", "bool_mask", "repeats_and_slice"],
+    )
+    def test_getitem_gradient_advanced_keys(self, key):
+        rng = np.random.default_rng(17)
+        w = rng.normal(size=np.zeros((3, 4))[key].shape)
+        check(lambda x: ((x[key] ** 2) * Tensor(w)).sum(), (3, 4), seed=18)
 
     def test_take_rows_out_of_range(self):
         table = Tensor(np.zeros((3, 2)))

@@ -17,6 +17,7 @@ import pytest
 
 from codebrain import nn, pretrain
 from codebrain.numerics import Tensor, backward
+from codebrain.numerics.tensor import _Node
 from codebrain.pretrain import (
     AdamW,
     CheckpointError,
@@ -35,6 +36,7 @@ from codebrain.pretrain import (
 from codebrain.probe import ProbeConfig, ProbeHead
 from codebrain.ssm import EegssmConfig, EegssmModel, EegssmOutput
 from codebrain.tokenizer import TokenGrid, TokenizerModel
+from test_autodiff import _tape, tape_arrays
 from test_tokenizer import make_grid, tiny_config
 
 
@@ -711,7 +713,8 @@ class TestTrainTokenizer:
 
     def test_graph_released_before_next_step(self, monkeypatch):
         # backward frees step 0's graph, though the loop still holds its loss
-        # when step 1's forward pass starts
+        # when step 1's forward pass starts: every array an adjoint keeps,
+        # bar the leaves' own, and every inner tensor still alive
         model, data = stage1_setup()
         real_train, refs, alive = pretrain._train, [], []
 
@@ -721,14 +724,12 @@ class TestTrainTokenizer:
             def wrapped(step, items, rng):
                 alive.append(sum(r() is not None for r in refs))
                 loss, columns = step_fn(step, items, rng)
-                seen, todo = set(), list(loss._parents)
-                while todo:  # every inner node's array (numpy scalars take no weakref)
-                    node = todo.pop()
-                    if id(node) not in seen and node._parents:
-                        seen.add(id(node))
-                        if isinstance(node.data, np.ndarray):
-                            refs.append(weakref.ref(node.data))
-                        todo.extend(node._parents)
+                tape = _tape(loss)
+                leaves = {id(t.data) for t in tape if isinstance(t, Tensor)}
+                inner = [n.out() for n in tape if isinstance(n, _Node)]
+                arrays = tape_arrays(tape) + [t.data for t in inner if t is not None]
+                # numpy scalars take no weakref
+                refs.extend(weakref.ref(a) for a in arrays if isinstance(a, np.ndarray) and id(a) not in leaves)
                 return loss, columns
 
             return real_train(*head, wrapped)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codebrain.numerics import fourier
 from codebrain.signal import (
     AmplitudeRejectionError,
     Band,
@@ -18,7 +19,7 @@ from codebrain.signal import (
     split_stratified,
     synth_generate,
 )
-from codebrain.signal import _polar_features
+from codebrain.signal import _phase
 
 
 def make_record(c=2, rate=4, seconds=2, label=None, scale=1.0, seed=0):
@@ -166,6 +167,13 @@ class TestPatch:
     def test_patch_times_are_window_starts(self):
         rec = make_record(c=1, rate=4, seconds=3)
         np.testing.assert_allclose(patch(rec, 1.0).patch_times, [0.0, 1.0, 2.0])
+
+
+def _polar_features(x):
+    """Raw two-sided amplitude and phase spectra, as `freq_features` forms
+    them before z-scoring."""
+    spec = fourier.dft_many(x)
+    return np.abs(spec), _phase(spec)
 
 
 class TestFreqFeatures:

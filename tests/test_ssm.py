@@ -24,6 +24,7 @@ from codebrain.ssm import (
     sgconv_param_count,
     swa_forward,
 )
+from test_autodiff import _tape
 
 
 def make_spec(features, length, base, rng, alpha=0.5, normalize=True):
@@ -59,14 +60,8 @@ def dense_attention_oracle(x, params, window):
 
 
 def tape_size(*roots):
-    """Number of tensors reachable from `roots` through recorded parents."""
-    seen, todo = set(), list(roots)
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(node._parents)
-    return len(seen)
+    """Number of nodes and gradient-needing leaves reachable from `roots`."""
+    return len(_tape(*roots))
 
 
 class TestBuildKernel:
@@ -344,12 +339,13 @@ class TestGateAndBlock:
         rng = np.random.default_rng(45)
         block = EegssmBlock.create(4, 16, 4, 3, rng)
         x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32), requires_grad=True)
-        # weights; sub-kernels 0, 1, 2; concat; L1 normalisation; then
-        # transpose, fft_convolve, transpose
-        sgconv = 1 + 3 + 3 + 4 + 1 + 5 + 3
+        # weights; sub-kernels 0, 1, 2 (slice, scale; slice, scale; slice,
+        # repeat, scale); concat; L1 normalisation (abs, sum, add, divide);
+        # then transpose, fft_convolve, transpose
+        sgconv = 1 + 2 + 2 + 3 + 1 + 4 + 3
         lin = 3  # w, b, the linear node
         # q/k/v/o; query scale; the window attention node
-        swa = 4 * lin + 2 + 1
+        swa = 4 * lin + 1 + 1
         gate = 4 * lin + 4  # wf/wg/out1/out2; concat, tanh, sigmoid, product
         # x, the norm and its scale, the three mixers, the residual add
         assert tape_size(*block(x)) == 1 + 2 + sgconv + swa + gate + 1

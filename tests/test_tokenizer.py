@@ -451,6 +451,21 @@ class TestTokenize:
             assert tokens.z_t.reshape(-1)[s] == model.codebook_t.nearest(flat[s])[0]
             assert tokens.z_f.reshape(-1)[s] == model.codebook_f.nearest(flat[s])[0]
 
+    def test_encoder_inputs_match_the_stage1_batch(self, monkeypatch):
+        # tokenize builds only the encoder's inputs: the arrays a stage-1
+        # batch of the one record carries, in dtype, layout and value
+        cfg = tiny_config()
+        rng = np.random.default_rng(32)
+        model = TokenizerModel(cfg, rng)
+        grid = self.make_grid(rng, c=3, n=5)
+        seen, encode = [], model.encode
+        monkeypatch.setattr(model, "encode", lambda *args, **kw: seen.append(args) or encode(*args, **kw))
+        tokenize(model, grid)
+        batch = make_stage1_batch([grid])
+        for got, want in zip(seen[0], (batch.patches, batch.freq_in, batch.positions), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+
     def test_state_dict_is_a_snapshot(self):
         cfg = tiny_config()
         rng = np.random.default_rng(30)
