@@ -152,9 +152,9 @@ class BatchNorm1d(Module):
             self.running_mean = ((1 - m) * self.running_mean + m * mu.reshape(-1)).astype(np.float32)
             self.running_var = ((1 - m) * self.running_var + m * var).astype(np.float32)
             return layer_norm(x, g, b, self.EPS, axis=(0, 2))
-        mu = Tensor(self.running_mean.reshape(1, -1, 1))
-        var = Tensor(self.running_var.reshape(1, -1, 1))
-        return (x - mu) / (var + self.EPS) ** 0.5 * g + b
+        # the running statistics need no gradient, so the denominator is a plain array
+        den = (self.running_var.reshape(1, -1, 1) + self.EPS) ** 0.5
+        return (x - self.running_mean.reshape(1, -1, 1)) / den * g + b
 
 
 class SelfAttention(Module):

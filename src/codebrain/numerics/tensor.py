@@ -29,7 +29,12 @@ expressions of the primitive chain it replaces, in the chain's order and
 with the dtype cast each inner node's first gradient gets, so it matches
 the chain bit for bit. Dense attention whose weights pass a fixed budget
 keeps only each softmax row's max and sum, and its adjoint recomputes the
-weights chunk by chunk with the same expressions.
+weights chunk by chunk with the same expressions. `conv1d` makes the
+matmuls `np.einsum(..., optimize=True)` plans for its three contractions,
+`(Cout, Cin·k) @ (Cin·k, B·L)` forward, `(Cin, Cout) @ (Cout, B·L)` per
+filter tap for the input's adjoint and `(Cin·k, B·L) @ (B·L, Cout)` for the
+filters', on operands laid out as that plan lays them out, so it matches
+`einsum` bit for bit without planning the contraction on every call.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import weakref
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import fourier
 
@@ -219,9 +225,8 @@ class Tensor:
         d = self.data
         # evaluate the numerically safe branch on each side of zero
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(
-                d >= 0, 1.0 / (1.0 + np.exp(-d)), np.exp(d) / (1.0 + np.exp(d))
-            ).astype(d.dtype)
+            e = np.exp(d)
+            out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-d)), e / (1.0 + e)).astype(d.dtype)
         return _from_op(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def relu(self):
@@ -279,10 +284,11 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        return _from_op(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
-        )
+        out = self.data.transpose(axes)  # checks the axes
+        inv = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inv[a] = i
+        return _from_op(out, (self,), lambda g: (g.transpose(inv),))
 
 
 # ---- graph plumbing ------------------------------------------------------
@@ -473,21 +479,23 @@ def take_rows(table: Tensor, idx) -> Tensor:
     return _from_op(out, (table,), vjp)
 
 
+def _zero_pad(d: np.ndarray, axis: int, before: int, after: int) -> tuple[np.ndarray, tuple]:
+    """`d` with `before` and `after` zeros along `axis`, laid out as `np.pad`
+    lays it out, and the index of `d` inside it."""
+    axis %= d.ndim
+    shape = list(d.shape)
+    shape[axis] += before + after
+    out = np.zeros(shape, dtype=d.dtype, order="F" if d.flags.fnc else "C")
+    inner = (slice(None),) * axis + (slice(before, before + d.shape[axis]),)
+    out[inner] = d
+    return out, inner
+
+
 def pad_axis(t: Tensor, axis: int, before: int, after: int) -> Tensor:
     if before < 0 or after < 0:
         raise ValueError("padding must be non-negative")
-    d = t.data
-    widths = [(0, 0)] * d.ndim
-    widths[axis % d.ndim] = (before, after)
-    out = np.pad(d, widths)
-    sl = [slice(None)] * d.ndim
-    sl[axis % d.ndim] = slice(before, before + d.shape[axis % d.ndim])
-    sl = tuple(sl)
-
-    def vjp(g):
-        return (g[sl],)
-
-    return _from_op(out, (t,), vjp)
+    out, inner = _zero_pad(t.data, axis, before, after)
+    return _from_op(out, (t,), lambda g: (g[inner],))
 
 
 def repeat_last(t: Tensor, reps: int) -> Tensor:
@@ -644,9 +652,8 @@ def window_attention(
     qd, kd, vd = q.data, k.data, v.data
     b, s, f = qd.shape
     w = 2 * half + 1
-    pad = ((0, 0), (half, half), (0, 0))
     keys, values = (
-        np.lib.stride_tricks.sliding_window_view(np.pad(d, pad), w, axis=1).swapaxes(-1, -2)
+        np.lib.stride_tricks.sliding_window_view(_zero_pad(d, 1, half, half)[0], w, axis=1).swapaxes(-1, -2)
         for d in (kd, vd)
     )
     pos = np.arange(s)[:, None] + np.arange(-half, half + 1)
@@ -725,6 +732,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (x, w, b), vjp)
 
 
+def _mean64(a: np.ndarray, axis, count) -> np.ndarray:
+    """`a.mean(axis, keepdims=True, dtype=np.float64)` given the count of the
+    reduced elements: the sum and in-place division that method runs."""
+    m = np.add.reduce(a, axis=axis, dtype=np.float64, keepdims=True)
+    m /= count
+    return m
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-1) -> Tensor:
     """Normalize `x` to zero mean and unit variance over `axis` (an int or a
     tuple; the last axis by default), then scale by `gamma` and shift by
@@ -741,12 +756,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
     """
     xd, gd, bd = x.data, gamma.data, beta.data
     dt = xd.dtype
-    mu = xd.mean(axis=axis, keepdims=True, dtype=np.float64).astype(dt)
+    axes = _axes(axis, xd.ndim)
+    count = np.int64(math.prod([xd.shape[a] for a in axes]))
+    mu = _mean64(xd, axes, count).astype(dt)
     c = xd - mu
-    ve = (c * c).mean(axis=axis, keepdims=True, dtype=np.float64).astype(dt) + _as_array(eps)
+    ve = _mean64(c * c, axes, count).astype(dt) + _as_array(eps)
     r = ve**0.5
     out = c / r * gd + bd
-    count = np.prod([xd.shape[a] for a in _axes(axis, xd.ndim)])
     x_shape, mu_shape, b_shape = xd.shape, mu.shape, bd.shape
     rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
@@ -789,11 +805,11 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
     """
     xd, sd = x.data, scale.data
     dt = xd.dtype
-    ms = (xd * xd).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    count = np.int64(xd.shape[-1])
+    ms = _mean64(xd * xd, -1, count).astype(dt)
     mse = ms + _as_array(eps)
     den = mse**0.5
     out = xd * sd / den
-    count = np.prod([xd.shape[-1]])
     rx, rs = x.requires_grad, scale.requires_grad
 
     def vjp(g):
@@ -828,11 +844,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"target index out of range for {k} classes")
     shifted = (d - d.max(axis=-1, keepdims=True)).astype(np.float64)
     e = np.exp(shifted)
-    lse = np.log(e.sum(axis=-1))
+    total = e.sum(axis=-1, keepdims=True)
+    lse = np.log(total[..., 0])
     flat_idx = idx.reshape(-1)
     picked = shifted.reshape(-1, k)[np.arange(flat_idx.size), flat_idx]
     out = (lse - picked.reshape(lse.shape)).astype(d.dtype)
-    prob = (e / e.sum(axis=-1, keepdims=True)).astype(d.dtype)
+    prob = (e / total).astype(d.dtype)
     shape = d.shape
 
     def vjp(g):
@@ -844,20 +861,48 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _from_op(out, (logits,), vjp)
 
 
+def _columns(win: np.ndarray) -> np.ndarray:
+    """The (Cin·k, B·L) operand numpy's einsum plan makes from conv windows
+    (B, Cin, L, k): a C-ordered copy of them, Cin and k before B and L.
+
+    With one input channel the plan first drops that unit axis with a
+    one-operand einsum, whose output keeps the windows' memory order,
+    (B, L, k), so the operand is that copy transposed. At stride 1 the L and
+    k strides tie, the einsum keeps (B, k, L), and the copy is C-ordered again.
+    """
+    b, c, l, k = win.shape
+    if c == 1 and win.strides[2] != win.strides[3]:
+        return win.reshape(b * l, k).T
+    return win.transpose(1, 3, 0, 2).reshape(c * k, b * l)
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of (B, Cin, L) with filters (Cout, Cin, k)."""
+    """Cross-correlation of (B, Cin, L) with filters (Cout, Cin, k), with
+    `pad` zeros at each end of L and a step of `stride`, as one tape node.
+
+    It makes the matmuls `np.einsum(..., optimize=True)` plans for
+    `bclk,ock->bol`, `bol,oc->bcl` (per tap) and `bol,bclk->ock` (see the
+    module docstring), so it matches einsum bit for bit while B, Cout, k
+    and the output length all exceed one. With another unit axis numpy's
+    plan takes other layouts, and a result may differ in the last bit.
+    """
     xd, wd = x.data, w.data
     if xd.ndim != 3 or wd.ndim != 3:
         raise ValueError("conv1d expects (B, Cin, L) input and (Cout, Cin, k) filters")
     if xd.shape[1] != wd.shape[1]:
         raise ValueError("channel mismatch between input and filters")
-    k = wd.shape[2]
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad))) if pad else xd
+    if stride < 1:
+        raise ValueError(f"conv1d stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ValueError(f"conv1d pad must be >= 0, got {pad}")
+    (o, c, k), bs = wd.shape, xd.shape[0]
+    xp, inner = _zero_pad(xd, 2, pad, pad) if pad else (xd, ...)
     if xp.shape[2] < k:
         raise ValueError("input shorter than filter after padding")
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    out = np.einsum("bclk,ock->bol", win, wd, optimize=True)
-    lout = out.shape[2]
+    lout = (xp.shape[2] - k) // stride + 1
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (bs, c, lout, k), (s0, s1, s2 * stride, s2), writeable=False)
+    out = (wd.reshape(o, c * k) @ _columns(win)).reshape(o, bs, lout).transpose(1, 0, 2)
     parents: tuple[Tensor, ...]
     if b is not None:
         out = out + b.data[:, None]
@@ -868,20 +913,24 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     # the windows of the padded input, for the filters' adjoint only
     xw = win if w.requires_grad else None
     fw = wd if x.requires_grad else None
-    padded, length = xp.shape, xd.shape[2]
+    padded = xp.shape
     biased, rb = b is not None, b is not None and b.requires_grad
 
     def vjp(g):
         dx = dw = None
         if fw is not None:
+            # every tap's plan copies g to the same (Cout, B·L) operand
+            gt = g.transpose(1, 0, 2).reshape(o, bs * lout)
+            taps = fw.transpose(2, 1, 0)  # tap t is the plan's fw[:, :, t].T
+            if c == 1:  # the plan's one-operand einsum leaves each a new row
+                taps = taps.copy()
             dxp = np.zeros(padded, dtype=g.dtype)
             for t in range(k):
-                dxp[:, :, t : t + stride * lout : stride] += np.einsum(
-                    "bol,oc->bcl", g, fw[:, :, t], optimize=True
-                )
-            dx = dxp[:, :, pad : pad + length] if pad else dxp
+                dxp[:, :, t : t + stride * lout : stride] += (taps[t] @ gt).reshape(c, bs, lout).transpose(1, 0, 2)
+            dx = dxp[inner]
         if xw is not None:
-            dw = np.einsum("bol,bclk->ock", g, xw, optimize=True)
+            gl = g.transpose(0, 2, 1).reshape(bs * lout, o)
+            dw = (_columns(xw) @ gl).reshape(c, k, o).transpose(2, 0, 1)
         if biased:
             return (dx, dw, g.sum(axis=(0, 2)) if rb else None)
         return (dx, dw)
@@ -929,29 +978,22 @@ def backward(loss: Tensor) -> None:
     gradient of one.
 
     Raises ValueError for non-scalar losses, MissingGradientError when the
-    loss is detached from all gradient-requiring tensors, and RuntimeError
-    when the loss was already consumed by a previous call.
+    loss is detached from all gradient-requiring tensors, and RuntimeError,
+    before any gradient changes, when the loss or any node behind it was
+    already consumed by a previous call.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    root = loss._node
-    if root is not None and root.vjp is None:
-        raise RuntimeError(
-            "backward was already run on this graph; rerun the forward pass to record a fresh tape"
-        )
     if not loss.requires_grad:
         raise MissingGradientError(
             "loss is detached from every gradient-requiring tensor; nothing to differentiate"
         )
-    loss.grad = np.ones_like(loss.data)
-    if root is None:
-        return
-    root.grad = loss.grad
+    root = loss._node
 
     # leaves end the walk and run no closure, so only nodes are ordered
     topo: list[_Node] = []
     seen: set[int] = set()
-    stack_: list[tuple[_Node, bool]] = [(root, False)]
+    stack_: list[tuple[_Node, bool]] = [(root, False)] if root is not None else []
     while stack_:
         node, expanded = stack_.pop()
         if expanded:
@@ -959,19 +1001,24 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.vjp is None:
+            raise RuntimeError(
+                "backward was already run through this graph; rerun the forward pass to record a fresh tape"
+            )
         seen.add(id(node))
         stack_.append((node, True))
         for p in node.parents:
             if type(p) is _Node and id(p) not in seen:
                 stack_.append((p, False))
 
+    loss.grad = np.ones_like(loss.data)
+    if root is not None:
+        root.grad = loss.grad
     while topo:
         node = topo.pop()
         held = node.out()
         if held is not None:
             held.grad = node.grad
-        if node.vjp is None:
-            continue
         grads = node.vjp(node.grad)
         for parent, g in zip(node.parents, grads):
             if parent is None or g is None:

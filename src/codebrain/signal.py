@@ -227,15 +227,24 @@ def _phase(spec: np.ndarray) -> np.ndarray:
 
 
 def _zscore(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    z = (v - v.mean(axis=-1, keepdims=True)) / (v.std(axis=-1, keepdims=True) + eps)
+    """`(v - v.mean(-1)) / (v.std(-1) + eps)` as float32, from one mean and
+    one centred array: the sums and divisions those methods run."""
+    n = np.intp(v.shape[-1])
+    mean = np.add.reduce(v, axis=-1, keepdims=True)
+    mean /= n
+    c = v - mean
+    var = np.add.reduce(c * c, axis=-1, keepdims=True)
+    var /= n
+    z = c / (np.sqrt(var) + eps)
     return z.astype(np.float32)
 
 
 def _zscored_amplitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided amplitude spectrum of `x` along its last axis, z-scored
     over its bins, float32, and the complex spectrum it was taken from.
-    `freq_features` and `tokenizer.tokenize` share it."""
-    spec = fourier.dft_many(np.asarray(x, dtype=np.float64))
+    `freq_features` and `tokenizer.tokenize` share it. `dft_many` casts
+    float32 patches to complex128 exactly, as it would their float64 copy."""
+    spec = fourier.dft_many(x)
     return _zscore(np.abs(spec)), spec
 
 

@@ -165,6 +165,19 @@ class TestReleasedTape:
         with pytest.raises(RuntimeError):
             backward(s)
 
+    def test_new_graph_on_consumed_inner_node_raises_before_any_gradient(self):
+        # the walk used to stop silently at the consumed `s`, leaving x.grad
+        # None and adding the new gradient to the stale one in s.grad
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        s = (x * x).sum()
+        backward(s * 2.0)
+        x.grad = None
+        loss = s * 3.0
+        with pytest.raises(RuntimeError, match="already run"):
+            backward(loss)
+        assert x.grad is None and loss.grad is None
+        assert s.grad == 2.0
+
     @pytest.mark.parametrize("stage", ["stage1", "stage2", "stage2_dropout"])
     def test_full_tape_closures_keep_no_tensor(self, stage):
         # every adjoint keeps arrays and plain values, never a Tensor: a kept
@@ -582,6 +595,33 @@ class TestFusedLayers:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_batch_norm_eval_bit_equal_to_op_chain(self, dtype):
+        # eval mode against the eight ops it ran before its denominator became
+        # a plain array, on a conv output as in the tokenizer
+        rng = np.random.default_rng(49)
+        arrays = [rng.normal(size=(256, 1, 200)), rng.normal(size=(8, 1, 15)), rng.normal(size=8)]
+        bn = BatchNorm1d(8)
+        bn.running_mean = rng.normal(size=8).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, size=8).astype(np.float32)
+        gamma0, beta0 = rng.uniform(0.5, 1.5, size=8), rng.normal(size=8)
+        probe = Tensor(rng.normal(size=(256, 8, 25)), dtype=dtype)
+        results = []
+        for use_layer in (True, False):
+            patches, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            x = conv1d(patches, w, b, stride=8, pad=7)
+            bn.gamma, bn.beta = Tensor(gamma0, requires_grad=True, dtype=dtype), Tensor(beta0, requires_grad=True, dtype=dtype)
+            if use_layer:
+                out = bn(x, train=False)
+            else:
+                mu, var = Tensor(bn.running_mean.reshape(1, -1, 1)), Tensor(bn.running_var.reshape(1, -1, 1))
+                out = (x - mu) / (var + BatchNorm1d.EPS) ** 0.5 * bn.gamma.reshape(1, -1, 1) + bn.beta.reshape(1, -1, 1)
+            backward((out.relu() * probe).sum())
+            results.append([out.data, x.grad, bn.gamma.grad, bn.beta.grad, patches.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_batch_norm_adds_three_tape_nodes(self):
         rng = np.random.default_rng(48)
         x = Tensor(rng.normal(size=(4, 3, 10)).astype(np.float32), requires_grad=True)
@@ -678,6 +718,12 @@ class TestStructuralPrimitives:
             return ((x @ Tensor(w)) * 0.5).sum()
 
         check(fn, (3, 2, 4), seed=9)
+
+    @pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1), (-1, 0, 1)])
+    def test_transpose_gradient(self, axes):
+        # a three-cycle is not its own inverse; a negative axis counts from the end
+        probe = Tensor(np.random.default_rng(12).normal(size=np.empty((2, 3, 4)).transpose(axes).shape))
+        check(lambda x: (x.transpose(*axes) * probe).sum(), (2, 3, 4), seed=13)
 
     def test_concat_gradient(self):
         def fn(x):
@@ -825,6 +871,31 @@ class TestFusedOps:
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+def _conv1d_einsum(xd, wd, bd, g, stride, pad):
+    """Output and input, filter and bias gradients of the conv, through the
+    einsum contractions `conv1d` plans as matmuls."""
+    k = wd.shape[2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+    out = (np.einsum("bclk,ock->bol", win, wd, optimize=True) + bd[:, None]).astype(np.float32, copy=False)
+    lout = out.shape[2]
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for t in range(k):
+        dxp[:, :, t : t + stride * lout : stride] += np.einsum("bol,oc->bcl", g, wd[:, :, t], optimize=True)
+    dw = np.einsum("bol,bclk->ock", g, win, optimize=True)
+    return out, dxp[:, :, pad : pad + xd.shape[2]], dw, g.sum(axis=(0, 2))
+
+
+# (Cin, Cout, k, stride, pad, L): the tokenizer's first conv and its inner
+# ones, and each with the other input-channel count
+CONV_GEOMETRIES = {
+    "first": (1, 8, 15, 8, 7, 200),
+    "first_many_channels": (4, 8, 15, 8, 7, 200),
+    "inner": (8, 4, 3, 1, 1, 25),
+    "inner_one_channel": (1, 4, 3, 1, 1, 25),
+}
+
+
 class TestConvPrimitives:
     def test_conv1d_matches_manual_small_case(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(1, 1, 6))
@@ -837,6 +908,37 @@ class TestConvPrimitives:
         w = Tensor(np.zeros((8, 1, 15), dtype=np.float32))
         out = conv1d(x, w, stride=8, pad=7)
         assert out.shape == (2, 8, 25)
+
+    @pytest.mark.parametrize(
+        "stride, pad, message",
+        [(0, 0, "stride must be >= 1, got 0"), (-1, 0, "stride must be >= 1, got -1"), (1, -1, "pad must be >= 0, got -1")],
+    )
+    def test_conv1d_rejects_bad_stride_or_pad(self, stride, pad, message):
+        # a negative stride used to return the windows in reverse order
+        x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 1, 8))
+        w = Tensor(np.ones((1, 1, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match=message):
+            conv1d(x, w, stride=stride, pad=pad)
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64], ids=["f32_grad", "f64_grad"])
+    @pytest.mark.parametrize("rows", [32, 64, 128, 2048, 4096])
+    @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
+    def test_conv1d_bit_equal_to_einsum(self, geometry, rows, grad_dtype):
+        # the output and both adjoints, against the einsum contractions
+        # conv1d's matmuls reproduce; the upstream gradient reaches the
+        # adjoint float32, or float64 as a mean's adjoint hands it on
+        c, o, k, stride, pad, length = CONV_GEOMETRIES[geometry]
+        rng = np.random.default_rng(rows * k + c)
+        xd = rng.normal(size=(rows, c, length)).astype(np.float32)
+        wd = rng.normal(size=(o, c, k)).astype(np.float32)
+        bd = rng.normal(size=o).astype(np.float32)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = conv1d(x, w, b, stride=stride, pad=pad)
+        g = rng.normal(size=out.shape).astype(grad_dtype)
+        got = [out.data, *out._node.vjp(g)]
+        for have, want in zip(got, _conv1d_einsum(xd, wd, bd, g, stride, pad), strict=True):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            np.testing.assert_array_equal(have, want)
 
     def test_conv1d_gradients(self):
         rng = np.random.default_rng(21)

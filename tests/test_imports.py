@@ -4,8 +4,11 @@ import `csv` (the CLI writes every run table, `pretrain` its history),
 only `nn.Module` and `pretrain.AdamW` define `children`: every other layer's
 state tree is read from its attributes, only `ssm.EegssmModel` defines
 `forward`: every layer runs by `__call__`, one CLI function loads,
-preprocesses and patches every dataset record, and every config dataclass
-checks its own values in `__post_init__`, rejecting NaN in every float field.
+preprocesses and patches every dataset record, every config dataclass
+checks its own values in `__post_init__`, rejecting NaN in every float field,
+and no module imports a private NumPy module (one with a dotted component
+that starts with `_`, such as `numpy._core`): those move between releases
+without notice.
 
 The unused-import check skips package `__init__.py` files: their imports
 are the re-exports. The export check covers them.
@@ -74,6 +77,39 @@ def imports_module(source: str, module: str) -> bool:
         if any(name == module or name.startswith(module + ".") for name in names):
             return True
     return False
+
+
+def private_numpy_imports(source: str) -> list[str]:
+    """Dotted names, at any depth, that reach into a private NumPy module:
+    an imported module, or a name imported from one, with a component that
+    starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] == "numpy" and any(part.startswith("_") for part in n.split("."))]
+    return found
+
+
+def test_checker_flags_private_numpy_imports():
+    source = (
+        "import numpy as np\nfrom numpy.lib.stride_tricks import as_strided\n"
+        "import numpy._core.einsumfunc\nfrom numpy import _core\n"
+        "def f():\n    from numpy._core.einsumfunc import bmm_einsum\n"
+        "from ._private import x\nimport _thread\n"
+    )
+    assert private_numpy_imports(source) == [
+        "numpy._core.einsumfunc", "numpy._core", "numpy._core.einsumfunc.bmm_einsum",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_numpy_imports(path):
+    assert private_numpy_imports(path.read_text()) == []
 
 
 def test_checker_flags_an_unused_import():

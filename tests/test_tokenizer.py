@@ -466,6 +466,24 @@ class TestTokenize:
             assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
 
+    def test_makes_no_einsum_pad_or_window_view_call(self, monkeypatch):
+        # the conv stack makes its matmuls, zero buffer and strided windows itself
+        cfg = tiny_config()
+        rng = np.random.default_rng(33)
+        model = TokenizerModel(cfg, rng)
+        grid = self.make_grid(rng, c=3, n=5)
+        want = tokenize(model, grid)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("tokenize called a NumPy wrapper it should not need")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        monkeypatch.setattr(np, "pad", forbidden)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", forbidden)
+        got = tokenize(model, grid)
+        np.testing.assert_array_equal(got.z_t, want.z_t)
+        np.testing.assert_array_equal(got.z_f, want.z_f)
+
     def test_state_dict_is_a_snapshot(self):
         cfg = tiny_config()
         rng = np.random.default_rng(30)
