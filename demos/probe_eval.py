@@ -11,7 +11,7 @@ carry no information.
 import numpy as np
 
 from codebrain.pretrain import TrainConfig, train_eegssm, train_tokenizer
-from codebrain.probe import ProbeConfig, train_probe
+from codebrain.probe import ProbeConfig, extract_features, train_probe_on_features
 from codebrain.signal import Band, ClassSpec, GeneratorSpec, patch, preprocess, split_stratified, synth_generate
 from codebrain.ssm import EegssmConfig, EegssmModel
 from codebrain.tokenizer import TokenizerConfig, TokenizerModel, tokenize
@@ -50,13 +50,16 @@ train_eegssm(backbone, data, TrainConfig(steps=1500, batch_size=4, peak_lr=1e-3,
 
 config = ProbeConfig(hidden=32, compress=64, p_drop=0.0, lr=1e-3, steps=200, batch_size=16, eval_every=25, seed=0)
 
+# the backbone is frozen: extract every record's features once, then fit
+# the head on the true labels and on each shuffled copy
+features = extract_features(backbone, grids)
 
-def splits_of(lab):
-    return {name: [(grids[i], int(lab[i])) for i in idx]
-            for name, idx in (("train", train), ("val", val), ("test", test))}
+
+def fit(lab):
+    return train_probe_on_features(*((features[idx], lab[idx]) for idx in (train, val, test)), config)
 
 
-_, report = train_probe(backbone, splits_of(labels), config)
+_, report = fit(labels)
 print("true labels:")
 print(f"  kappa {report.kappa:.3f}  balanced acc {report.balanced_acc:.3f}  weighted F1 {report.weighted_f1:.3f}")
 print(f"  confusion:\n{report.confusion}")
@@ -68,7 +71,7 @@ for seed in range(3):
     shuffled = labels.copy()
     for idx in (train, val, test):
         shuffled[idx] = shuffled[idx][rng.permutation(len(idx))]
-    _, control = train_probe(backbone, splits_of(shuffled), config)
+    _, control = fit(shuffled)
     controls.append(control.kappa)
 print(f"label-shuffled controls: kappa {[round(k, 3) for k in controls]}"
       f"  mean {np.mean(controls):+.3f} (chance is 0)")

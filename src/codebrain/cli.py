@@ -31,10 +31,11 @@ command writes. Records are checked before a command writes: too many
 patches (channels x windows) for ``tokenizer.max_positions`` or
 ``model.kernel_len``, or a length ``tokenizer.patch_len`` does not divide,
 is exit 2; a damaged record, one over 100 uV, an empty split the command
-needs (train; val and test too for ``probe``), a manifest that lists no
-records, or records the command cannot batch together (train records of
-more than one (channels, windows) shape for the training commands, more
-than one channel count for ``probe``) is exit 3.
+needs (train; val and test too for ``probe``), a split of one class for
+``probe``, a manifest that lists no records, or records the command cannot
+batch together (train records of more than one (channels, windows) shape
+for the training commands, more than one channel count for ``probe``) is
+exit 3.
 """
 
 from __future__ import annotations
@@ -506,6 +507,12 @@ def cmd_probe(run: RunConfig, args: argparse.Namespace) -> int:
     )
     _require_one_shape(grids, info, range(len(grids)), 1)
     labels = np.array(info["labels"], dtype=np.int64)
+    for name in ("train", "val", "test"):
+        held = np.unique(labels[info["splits"][name]])
+        if held.size < 2:
+            raise PrerequisiteError(
+                f"the {name} split holds class {held[0]} only; the probe needs two classes in every split"
+            )
     n_classes = int(labels.max()) + 1
     features = extract_features(backbone, grids)  # backbone stays frozen
     splits = {k: np.array(v, dtype=np.intp) for k, v in info["splits"].items()}

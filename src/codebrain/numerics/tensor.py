@@ -498,15 +498,26 @@ def pad_axis(t: Tensor, axis: int, before: int, after: int) -> Tensor:
     return _from_op(out, (t,), lambda g: (g[inner],))
 
 
-def repeat_last(t: Tensor, reps: int) -> Tensor:
-    """Nearest-neighbour upsampling of the last axis by an integer factor."""
-    if reps < 1:
-        raise ValueError("repeat factor must be >= 1")
-    out = np.repeat(t.data, reps, axis=-1)
-    shape = t.shape + (reps,)
+def repeat_last(t: Tensor, counts) -> Tensor:
+    """`np.repeat(t, counts, axis=-1)`: each column of the last axis repeated
+    `counts` times, one int for every column or one count per column.
+
+    The adjoint sums each run of columns that share a count over a
+    (columns, count) view of its slice of the gradient, so a run rounds as
+    a repeat by that count alone does; `np.add.reduceat` sums in another
+    order and rounds differently."""
+    counts = np.broadcast_to(np.asarray(counts), t.shape[-1:])
+    if (counts < 1).any():
+        raise ValueError("repeat counts must be >= 1")
+    out = np.repeat(t.data, counts, axis=-1)
+    starts = np.flatnonzero(np.diff(counts, prepend=0))  # the first column of each run
+    widths, reps = np.diff(starts, append=counts.size), counts[starts]
+    cuts = np.cumsum(widths * reps)[:-1]
 
     def vjp(g):
-        return (g.reshape(shape).sum(axis=-1),)
+        runs = np.split(g, cuts, axis=-1)
+        parts = [u.reshape(u.shape[:-1] + (w, r)).sum(axis=-1) for u, w, r in zip(runs, widths, reps)]
+        return (np.concatenate(parts, axis=-1),)
 
     return _from_op(out, (t,), vjp)
 

@@ -36,7 +36,6 @@ __all__ = [
     "compute_metrics",
     "confusion_matrix",
     "extract_features",
-    "train_probe",
     "train_probe_on_features",
 ]
 
@@ -344,23 +343,3 @@ def train_probe_on_features(
 
     head.load_state_dict(best_state)
     return head, _evaluate(head, x_te, y_te, task, n_classes)
-
-
-def train_probe(
-    model: EegssmModel,
-    splits: dict[str, list[tuple[PatchGrid, int]]],
-    config: ProbeConfig,
-) -> tuple[ProbeHead, MetricsReport]:
-    """Frozen-backbone probing over {"train"|"val"|"test": [(grid, label)]}.
-
-    Features are extracted once per split (the backbone sees no gradients and
-    is bit-identical afterwards), then the head is fit on them.
-    """
-    sets = {}
-    for name in ("train", "val", "test"):
-        if name not in splits or not splits[name]:
-            raise ValueError(f"missing split {name!r}")
-        grids = [g for g, _ in splits[name]]
-        labels = np.array([int(y) for _, y in splits[name]], dtype=np.int64)
-        sets[name] = (extract_features(model, grids), labels)
-    return train_probe_on_features(sets["train"], sets["val"], sets["test"], config)

@@ -66,8 +66,9 @@ class AmplitudeRejectionError(ValueError):
 class EegRecord:
     """A multichannel recording: (channels, samples) float32 plus metadata.
 
-    `label` is an integer class id or None. Sample counts must be a whole
-    number of seconds at `sample_rate`.
+    `label` is an integer class id or None. A record has at least one
+    channel, and its sample count is a whole number of seconds at
+    `sample_rate`.
     """
 
     channels: tuple[str, ...]
@@ -77,8 +78,8 @@ class EegRecord:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float32)
-        if self.samples.ndim != 2:
-            raise ValueError(f"samples must be 2-D (channels, samples), got {self.samples.shape}")
+        if self.samples.ndim != 2 or self.samples.shape[0] == 0:
+            raise ValueError(f"samples must be (channels, samples) with a channel, got {self.samples.shape}")
         if len(self.channels) != self.samples.shape[0]:
             raise ValueError(
                 f"{len(self.channels)} channel names for {self.samples.shape[0]} rows"
@@ -186,12 +187,10 @@ def preprocess(record: EegRecord) -> EegRecord:
 
 @dataclass
 class PatchGrid:
-    """Non-overlapping windows of a record: (channels, windows, window_len)."""
+    """Non-overlapping windows of a record, (channels, windows, window_len),
+    and its label."""
 
     patches: np.ndarray
-    channel_ids: tuple[str, ...]
-    patch_times: np.ndarray  # window start offsets, in seconds
-    sample_rate: int
     label: int | None = None
 
     def __post_init__(self) -> None:
@@ -209,14 +208,7 @@ def patch(record: EegRecord, patch_seconds: float = 1.0) -> PatchGrid:
             f"{record.n_samples} samples do not divide into whole {t}-sample windows"
         )
     n = record.n_samples // t
-    grid = record.samples.reshape(record.n_channels, n, t)
-    return PatchGrid(
-        patches=grid,
-        channel_ids=record.channels,
-        patch_times=(np.arange(n) * t / record.sample_rate).astype(np.float32),
-        sample_rate=record.sample_rate,
-        label=record.label,
-    )
+    return PatchGrid(patches=record.samples.reshape(record.n_channels, n, t), label=record.label)
 
 
 def _phase(spec: np.ndarray) -> np.ndarray:

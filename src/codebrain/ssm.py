@@ -113,14 +113,15 @@ class SgconvSpec(nn.Module):
 
 
 def build_kernel(spec: SgconvSpec) -> Tensor:
-    """Assemble the (features, L) convolution kernel from sub-kernel weights."""
-    parts = []
-    for i in range(spec.n_subkernels):
-        w_i = spec.weights[:, i, :]
-        reps = 2 ** max(i - 1, 0)
-        up = repeat_last(w_i, reps) if reps > 1 else w_i
-        parts.append(up * float(spec.alpha**i))
-    kernel = concat(parts, axis=-1)
+    """Assemble the (features, L) convolution kernel from sub-kernel weights
+    in three tape nodes: the (features, N·d) view of the weights, each tap
+    of sub-kernel i repeated 2^max(i-1, 0) times, and the float32(alpha^i)
+    scale of every repeated tap."""
+    f, n, d = spec.weights.shape
+    reps = 2 ** np.maximum(np.arange(n) - 1, 0)
+    scale = np.array([spec.alpha**i for i in range(n)], dtype=np.float32)
+    taps = repeat_last(spec.weights.reshape(f, n * d), np.repeat(reps, d))
+    kernel = taps * Tensor(np.repeat(scale, reps * d))
     if spec.normalize:
         z = kernel.abs().sum(axis=-1, keepdims=True)
         kernel = kernel / (z + 1e-12)

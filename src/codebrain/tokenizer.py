@@ -284,18 +284,14 @@ def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
     if any(g.patches.shape != shape for g in grids):
         raise ValueError("all records in a batch must share (C, N, T)")
     c, n, t = shape
-    bins = t // 2 + 1
-    patches = np.stack([g.patches.reshape(c * n, t) for g in grids])
-    amps, phases = [], []
-    for g in grids:
-        amp, phase = freq_features(g.patches)
-        amps.append(amp.reshape(c * n, t))
-        phases.append(phase.reshape(c * n, t))
-    amp = np.stack(amps)
-    phase = np.stack(phases)
-    positions = np.broadcast_to(np.arange(c * n), (len(grids), c * n)).copy()
+    b, bins = len(grids), t // 2 + 1
+    # dft_many's product runs once per (C, N, T) grid of the stack, as one
+    # call per record did
+    grid = np.stack([g.patches for g in grids])
+    amp, phase = (a.reshape(b, c * n, t) for a in freq_features(grid))
+    positions = np.broadcast_to(np.arange(c * n), (b, c * n)).copy()
     return Stage1Batch(
-        patches=patches.astype(np.float32),
+        patches=grid.reshape(b, c * n, t).astype(np.float32),
         freq_in=amp[..., :bins].copy(),
         amp_target=amp,
         phase_target=phase,

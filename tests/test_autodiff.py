@@ -1,6 +1,7 @@
 """Gradient correctness for every primitive, checked against central differences."""
 
 import dataclasses
+import itertools
 import tracemalloc
 import types
 import weakref
@@ -772,6 +773,38 @@ class TestStructuralPrimitives:
             return (repeat_last(x, 3) ** 2).sum()
 
         check(fn, (2, 4), seed=13)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [3, [1, 1, 1, 1, 1, 1], [1, 1, 2, 2, 4, 4], [2, 1, 1, 3, 3, 1], [5]],
+        ids=["int", "all_ones", "growing_runs", "unequal_runs", "one_column"],
+    )
+    def test_repeat_last_matches_np_repeat(self, counts):
+        width = len(counts) if isinstance(counts, list) else 6
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(3, 2, width)).astype(np.float32), requires_grad=True)
+        out = repeat_last(x, counts)
+        np.testing.assert_array_equal(out.data, np.repeat(x.data, counts, axis=-1))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        backward((out * Tensor(g)).sum())
+        # each run of equal counts summed over its own (columns, count) view
+        want, at = [], 0
+        for r, run in itertools.groupby(np.broadcast_to(counts, (width,)).tolist()):
+            w = len(list(run))
+            want.append(g[..., at : at + w * r].reshape(3, 2, w, r).sum(axis=-1))
+            at += w * r
+        assert x.grad.tobytes() == np.concatenate(want, axis=-1).tobytes()
+
+    def test_repeat_last_per_column_gradient(self):
+        def fn(x):
+            return (repeat_last(x, [1, 2, 2, 4]) ** 2).sum()
+
+        check(fn, (2, 4), seed=18)
+
+    @pytest.mark.parametrize("counts", [0, [1, 0, 2], [2, -1, 1]])
+    def test_repeat_last_rejects_counts_below_one(self, counts):
+        with pytest.raises(ValueError, match=">= 1"):
+            repeat_last(Tensor(np.ones((2, 3), np.float32)), counts)
 
     def test_take_rows_gradient_accumulates_duplicates(self):
         table = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2), requires_grad=True)

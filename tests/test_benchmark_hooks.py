@@ -2,12 +2,16 @@
 name: `spans.Tracer._install` replaces module functions and class methods
 with recording wrappers, and `bench.py` calls the library's public names.
 These checks read both files with `ast`, without importing or changing
-them, and fail when a library change moves or renames a name they use.
+them, and fail when a library change moves or renames a name they use, or
+when a tiny pipeline pass no longer calls a wrapped name through the
+attribute the wrapper replaces (its per-layer time would then read 0).
 """
 
 import ast
+import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codebrain import nn, pretrain, probe, signal, ssm, tokenizer
@@ -78,3 +82,53 @@ def test_every_wrapped_attribute_exists(owner, attr):
 @pytest.mark.parametrize("chain", CHAINS)
 def test_every_library_name_the_benchmark_uses_resolves(chain):
     resolve(chain)
+
+
+def tiny_pass(out_dir: Path) -> None:
+    """Every phase the benchmark times, at the smallest widths: two stage-1
+    steps with checkpoints, tokenization, two stage-2 steps, feature
+    extraction and one probe fit."""
+    spec = signal.GeneratorSpec(
+        classes=(signal.ClassSpec("slow", (signal.Band(2, 4, 10),)), signal.ClassSpec("fast", (signal.Band(8, 12, 10),))),
+        channels=2, sample_rate=32, duration=4.0, noise_sigma=1.0, records_per_class=3,
+    )
+    grids = [signal.patch(signal.preprocess(r)) for r in signal.synth_generate(spec, 0)]
+    labels = np.array([g.label for g in grids])
+    rng = np.random.default_rng(0)
+    tok = tokenizer.TokenizerModel(
+        tokenizer.TokenizerConfig(patch_len=32, hidden=8, enc_layers=1, dec_layers=1, heads=2, mlp_dim=16,
+                                  codebook_size=16, code_dim=4),
+        rng,
+    )
+    backbone = ssm.EegssmModel(
+        ssm.EegssmConfig(patch_len=32, features=8, blocks=1, kernel_len=8, kernel_base=2, window=3,
+                         codebook_size=16, p_drop=0.0),
+        rng,
+    )
+    pretrain.train_tokenizer(tok, grids, pretrain.TrainConfig(steps=2, batch_size=2), out_dir=str(out_dir / "s1"))
+    data = [(g, tokenizer.tokenize(tok, g)) for g in grids]
+    pretrain.train_eegssm(backbone, data, pretrain.TrainConfig(steps=2, batch_size=2), out_dir=str(out_dir / "s2"))
+    feats = probe.extract_features(backbone, grids)
+    sets = [(feats, labels)] * 3
+    probe.train_probe_on_features(*sets, probe.ProbeConfig(hidden=4, compress=4, steps=2, batch_size=4))
+
+
+def test_a_pipeline_pass_calls_every_wrapped_attribute(tmp_path, monkeypatch):
+    # names bench.py calls itself are timed whether or not the library calls them
+    calls = dict.fromkeys(HOOKS, 0)
+
+    def counting(original, hook):
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            calls[hook] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for owner, attr in HOOKS:
+        target = resolve(owner)
+        original = target.__dict__[attr] if isinstance(target, type) else getattr(target, attr)
+        monkeypatch.setattr(target, attr, counting(original, (owner, attr)))
+    tiny_pass(tmp_path)
+    uncalled = [f"{o}.{a}" for (o, a), n in calls.items() if n == 0 and f"{o}.{a}" not in CHAINS]
+    assert uncalled == []

@@ -250,6 +250,23 @@ def _reshape_every_other_record(data_dir, reshape):
         save_record(dataclasses.replace(rec, samples=samples, channels=default_channel_names(len(samples))), data_dir / name)
 
 
+def _zero_channels(path):
+    """Rewrite a record file as one that declares no channels."""
+    header = bytearray(path.read_bytes()[:24])
+    header[6:8] = (0).to_bytes(2, "little")  # the channel count
+    path.write_bytes(bytes(header))
+    path.with_suffix(path.suffix + ".json").write_text('{"channels": []}')
+
+
+def _one_class_split(data_dir, split):
+    """Keep only the class-0 records of `split` in the dataset manifest."""
+
+    def edit(m):
+        m["splits"][split] = [i for i in m["splits"][split] if m["labels"][i] == 0]
+
+    _edit_manifest(data_dir / "manifest.json", edit)
+
+
 def _add_spike(data_dir):
     path = data_dir / "record_0003.bin"
     rec = load_record(path)
@@ -441,6 +458,18 @@ class TestPrerequisites:
     def test_analyze_without_stage1(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "fresh")) == 3
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_probe_split_of_one_class_rejected(self, pipeline, tmp_path, capsys, split):
+        out, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(out / "data", data)
+        _one_class_split(data, split)
+        text = cfg.read_text() + f"paths.data = {data}\npaths.stage2 = {out / 'stage2' / 'final'}\n"
+        x = tmp_path / "x"
+        assert run_cli("probe", "--config", str(_write_cfg(tmp_path, text)), "--out", str(x)) == 3
+        assert f"the {split} split holds class 0 only" in capsys.readouterr().err
+        assert not x.exists()
+
     @pytest.mark.parametrize(
         "command, key, other",
         [
@@ -498,6 +527,7 @@ class TestPrerequisites:
             ("record_0003.bin", lambda p: p.write_bytes(p.read_bytes()[:10])),
             ("record_0003.bin", lambda p: p.unlink()),
             ("record_0003.bin", lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:])),
+            ("record_0003.bin", _zero_channels),
             ("manifest.json", lambda p: p.write_text('{"files": [')),
             ("manifest.json", lambda p: p.write_text("{}")),
             ("manifest.json", lambda p: p.write_text("[]")),
@@ -511,7 +541,7 @@ class TestPrerequisites:
             ("record_0003.bin.json", lambda p: p.write_text('{"channels": 5}')),
         ],
         ids=[
-            "truncated_record", "deleted_record", "bad_magic", "unparsable_manifest",
+            "truncated_record", "deleted_record", "bad_magic", "zero_channels", "unparsable_manifest",
             "empty_manifest", "list_manifest", "no_files", "no_labels", "no_splits",
             "split_index_out_of_range", "label_count_mismatch",
             "empty_sidecar", "sidecar_channels_not_a_list",

@@ -23,7 +23,6 @@ from codebrain.probe import (
     compute_metrics,
     confusion_matrix,
     extract_features,
-    train_probe,
     train_probe_on_features,
     weighted_f1,
 )
@@ -61,13 +60,7 @@ def grid_for_class(rng, label, c=2, n=4, t=16):
     # the normalization at each block input
     wave = np.sin(2.0 * np.pi * (label + 1) * np.arange(t) / t)
     patches = (2.0 * wave + rng.normal(0, 0.1, size=(c, n, t))).astype(np.float64)
-    return PatchGrid(
-        patches=patches,
-        channel_ids=tuple(range(c)),
-        patch_times=np.arange(n, dtype=np.float64),
-        sample_rate=float(t),
-        label=int(label),
-    )
+    return PatchGrid(patches=patches, label=int(label))
 
 
 class TestKappaConfusion:
@@ -402,7 +395,7 @@ class TestTrainProbe:
             for name, n in (("train", 8), ("val", 4), ("test", 4))
         }
         cfg = ProbeConfig(hidden=8, compress=8, p_drop=0.0, steps=10, batch_size=4, eval_every=5)
-        train_probe(model, splits, cfg)
+        fit_on_grids(model, splits, cfg)
         after = model.named_params()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k].data, err_msg=k)
@@ -417,15 +410,8 @@ class TestTrainProbe:
                 records += [(grid_for_class(rng, k), k) for _ in range(n_per)]
             splits[name] = records
         cfg = ProbeConfig(hidden=24, compress=12, p_drop=0.0, steps=150, batch_size=12, eval_every=25, lr=3e-3)
-        head, rep = train_probe(model, splits, cfg)
+        head, rep = fit_on_grids(model, splits, cfg)
         assert rep.kappa >= 0.8
-
-    def test_missing_split_rejected(self):
-        model = small_model()
-        rng = np.random.default_rng(9)
-        splits = {"train": [(grid_for_class(rng, 0), 0), (grid_for_class(rng, 1), 1)]}
-        with pytest.raises(ValueError, match="val"):
-            train_probe(model, splits, ProbeConfig(steps=2))
 
     def test_extract_features_pools_windows(self):
         model = small_model()
@@ -436,6 +422,19 @@ class TestTrainProbe:
         out = model.forward(grid.patches.reshape(1, 8, 16).astype(np.float32))
         manual = out.features.data[0].reshape(2, 4, -1).mean(axis=1)
         np.testing.assert_array_equal(feats[0], manual)
+
+
+def fit_on_grids(model, splits, cfg):
+    """Extract the features of every split's (grid, label) pairs in one
+    call, as the command line does, then fit the head on them."""
+    names = ("train", "val", "test")
+    feats = extract_features(model, [g for name in names for g, _ in splits[name]])
+    sets, at = [], 0
+    for name in names:
+        n = len(splits[name])
+        sets.append((feats[at : at + n], np.array([y for _, y in splits[name]])))
+        at += n
+    return train_probe_on_features(*sets, cfg)
 
 
 def pooled_alone(model, grid):

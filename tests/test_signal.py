@@ -48,6 +48,10 @@ class TestRecordType:
         with pytest.raises(ValueError):
             EegRecord(("a",), 10, x)
 
+    def test_zero_channels_rejected(self):
+        with pytest.raises(ValueError, match="with a channel"):
+            EegRecord((), 10, np.zeros((0, 10), np.float32))
+
 
 class TestFileRoundTrip:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -82,6 +86,17 @@ class TestFileRoundTrip:
         blob[4:6] = (99).to_bytes(2, "little")
         p.write_bytes(bytes(blob))
         with pytest.raises(RecordFormatError):
+            load_record(p)
+
+    def test_zero_channel_file_rejected(self, tmp_path):
+        # a header that declares no channels, and no payload or sidecar
+        p = tmp_path / "rec.eeg"
+        save_record(make_record(c=1), p)
+        blob = bytearray(p.read_bytes()[:24])
+        blob[6:8] = (0).to_bytes(2, "little")
+        p.write_bytes(bytes(blob))
+        (tmp_path / "rec.eeg.json").unlink()
+        with pytest.raises(ValueError, match="with a channel"):
             load_record(p)
 
     def test_truncated_payload_is_io_error(self, tmp_path):
@@ -163,10 +178,6 @@ class TestPatch:
         rec = make_record(c=1, rate=4, seconds=3)  # 12 samples
         with pytest.raises(ValueError):
             patch(rec, 2.5)  # 10-sample windows
-
-    def test_patch_times_are_window_starts(self):
-        rec = make_record(c=1, rate=4, seconds=3)
-        np.testing.assert_allclose(patch(rec, 1.0).patch_times, [0.0, 1.0, 2.0])
 
 
 def _polar_features(x):

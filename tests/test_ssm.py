@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from codebrain import cli, nn
-from codebrain.numerics import Tensor, backward, finite_diff_check
+from codebrain.numerics import Tensor, backward, concat, finite_diff_check, repeat_last
 from codebrain.ssm import (
     BenchRow,
     EegssmBlock,
@@ -24,6 +24,7 @@ from codebrain.ssm import (
     sgconv_param_count,
     swa_forward,
 )
+from codebrain.numerics.tensor import _Node
 from test_autodiff import _tape
 
 
@@ -148,6 +149,47 @@ class TestBuildKernel:
 
         err = finite_diff_check(fn, w0, eps=1e-4)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("base", [1, 2, 16])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_subkernel_chain(self, n, base, normalize):
+        # forward and weight gradient bit for bit against the chain of one
+        # slice, repeat and scale per sub-kernel, then a concat
+        rng = np.random.default_rng([n, base])
+        w = rng.normal(size=(3, n, base)).astype(np.float32)
+        g = rng.normal(size=(3, base << (n - 1))).astype(np.float32)
+        got = SgconvSpec(alpha=0.5, weights=Tensor(w, requires_grad=True), normalize=normalize)
+        ref = SgconvSpec(alpha=0.5, weights=Tensor(w, requires_grad=True), normalize=normalize)
+        k = build_kernel(got)
+        k_ref = per_subkernel_kernel(ref)
+        assert k.data.tobytes() == k_ref.data.tobytes()
+        backward((k * Tensor(g)).sum())
+        backward((k_ref * Tensor(g)).sum())
+        assert got.weights.grad.tobytes() == ref.weights.grad.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_three_nodes_for_any_subkernel_count(self, n):
+        # the weights' (features, N·d) view, the repeat and the scale
+        w = Tensor(np.ones((2, n, 2), np.float32), requires_grad=True)
+        k = build_kernel(SgconvSpec(alpha=0.5, weights=w, normalize=False))
+        assert sum(isinstance(item, _Node) for item in _tape(k)) == 3
+
+
+def per_subkernel_kernel(spec):
+    """The kernel as one slice, repeat and scale per sub-kernel, then a
+    concat and the L1 normalisation."""
+    parts = []
+    for i in range(spec.n_subkernels):
+        w_i = spec.weights[:, i, :]
+        reps = 2 ** max(i - 1, 0)
+        up = repeat_last(w_i, reps) if reps > 1 else w_i
+        parts.append(up * float(spec.alpha**i))
+    kernel = concat(parts, axis=-1)
+    if spec.normalize:
+        z = kernel.abs().sum(axis=-1, keepdims=True)
+        kernel = kernel / (z + 1e-12)
+    return kernel
 
 
 class TestSgconvForward:
@@ -339,10 +381,9 @@ class TestGateAndBlock:
         rng = np.random.default_rng(45)
         block = EegssmBlock.create(4, 16, 4, 3, rng)
         x = Tensor(rng.normal(size=(2, 16, 4)).astype(np.float32), requires_grad=True)
-        # weights; sub-kernels 0, 1, 2 (slice, scale; slice, scale; slice,
-        # repeat, scale); concat; L1 normalisation (abs, sum, add, divide);
-        # then transpose, fft_convolve, transpose
-        sgconv = 1 + 2 + 2 + 3 + 1 + 4 + 3
+        # weights; the kernel (reshape, repeat, scale); L1 normalisation
+        # (abs, sum, add, divide); then transpose, fft_convolve, transpose
+        sgconv = 1 + 3 + 4 + 3
         lin = 3  # w, b, the linear node
         # q/k/v/o; query scale; the window attention node
         swa = 4 * lin + 1 + 1

@@ -7,7 +7,7 @@ import pytest
 
 from codebrain import cli
 from codebrain.numerics import Tensor, backward, finite_diff_check, no_grad
-from codebrain.signal import PatchGrid
+from codebrain.signal import PatchGrid, freq_features
 from codebrain.tokenizer import (
     Codebook,
     Stage1Batch,
@@ -404,12 +404,7 @@ class TestLosses:
 
 
 def make_grid(rng, c=2, n=4, t=16):
-    return PatchGrid(
-        patches=rng.normal(size=(c, n, t)).astype(np.float32),
-        channel_ids=tuple(f"ch{i}" for i in range(c)),
-        patch_times=np.arange(n, dtype=np.float64),
-        sample_rate=t,
-    )
+    return PatchGrid(patches=rng.normal(size=(c, n, t)).astype(np.float32))
 
 
 class TestTokenize:
@@ -600,6 +595,22 @@ class TestBatchAssembly:
         assert batch.amp_target.shape == (1, c * n, t)
         assert batch.windows_per_channel == n
 
+    # (C, N, T, B): the desk and paper-width records at batch 4, the
+    # long-context records at batch 2, and an odd small geometry
+    @pytest.mark.parametrize("c, n, t, b", [(4, 8, 200, 4), (16, 64, 200, 2), (3, 5, 17, 3)])
+    def test_matches_per_record_spectra(self, c, n, t, b):
+        rng = np.random.default_rng([c, n, t])
+        grids = [PatchGrid(rng.normal(scale=0.3, size=(c, n, t)).astype(np.float32)) for _ in range(b)]
+        got = make_stage1_batch(grids)
+        want = per_record_batch(grids)
+        for name, value in vars(want).items():
+            field = getattr(got, name)
+            if isinstance(value, np.ndarray):
+                assert (field.dtype, field.shape) == (value.dtype, value.shape), name
+                assert field.tobytes() == value.tobytes(), name
+            else:
+                assert field == value, name
+
     def test_mismatched_shapes_raise(self):
         rng = np.random.default_rng(35)
         g1 = make_grid(rng, 2, 4, 16)
@@ -608,3 +619,22 @@ class TestBatchAssembly:
             make_stage1_batch([g1, g2])
         with pytest.raises(ValueError):
             make_stage1_batch([])
+
+
+def per_record_batch(grids):
+    """A `Stage1Batch` with one spectrum call per record."""
+    c, n, t = grids[0].patches.shape
+    amps, phases = [], []
+    for g in grids:
+        amp, phase = freq_features(g.patches)
+        amps.append(amp.reshape(c * n, t))
+        phases.append(phase.reshape(c * n, t))
+    amp = np.stack(amps)
+    return Stage1Batch(
+        patches=np.stack([g.patches.reshape(c * n, t) for g in grids]).astype(np.float32),
+        freq_in=amp[..., : t // 2 + 1].copy(),
+        amp_target=amp,
+        phase_target=np.stack(phases),
+        positions=np.broadcast_to(np.arange(c * n), (len(grids), c * n)).copy(),
+        windows_per_channel=n,
+    )
