@@ -116,12 +116,19 @@ class TrainConfig:
             raise ValueError("mask ratio must be in (0, 1)")
         if not self.clip_norm > 0:
             raise ValueError(f"clip norm must be positive, got {self.clip_norm}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must be two values in [0, 1), got {self.betas}")
+        _check_adamw(self.betas, self.eps, self.weight_decay)
+
+
+def _check_adamw(betas, eps, weight_decay) -> None:
+    """Reject AdamW hyperparameters that break its update: a beta of 1 zeroes
+    a bias correction (every weight turns NaN), eps <= 0 can divide by zero
+    and a negative decay grows the weights. NaN fails every check."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not weight_decay >= 0:
+        raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+    if len(betas) != 2 or not all(0 <= b < 1 for b in betas):
+        raise ValueError(f"betas must be two values in [0, 1), got {betas}")
 
 
 def cosine_lr(step: int, total_steps: int, peak: float, minimum: float) -> float:
@@ -151,13 +158,41 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
+# elements per AdamW update slice: a slice's operands and scratch take about
+# 40 bytes an element, 1.3 MB in all, so they stay in a 2 MB L2
+_CHUNK = 1 << 15
+
+
 class AdamW(nn.Module):
     """Adam moments with decoupled weight decay (decay multiplies the weight
     directly, scaled by lr, outside the adaptive term).
 
     Its state is a `Module` tree of buffers: the step count `adam/t` and the
     moments `adam/m/<name>` and `adam/v/<name>`, so it saves with the model
-    and loads through the same checked `load_state_dict`."""
+    and loads through the same checked `load_state_dict`.
+
+    The arithmetic, per element, for weight w of dtype P, grad g and step t:
+
+        m = b1 * m + (1 - b1) * g                  increment in g's dtype
+        v = b2 * v + ((1 - b2) * g) * g            increment in g's dtype
+        u = (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)       in P
+        u = u + weight_decay * w                   in P, when decay > 0
+        w = (w - lr * u) cast to P
+
+    The moments keep P. The hyperparameters are Python floats, so they
+    promote nothing; `lr * u` and the subtraction run in
+    `np.result_type(lr, P)`, which is float64 for the `np.float64` that
+    `cosine_lr` returns.
+
+    `step` runs the chain over slices of at most `_CHUNK` elements of each
+    flattened tensor, into four scratch buffers allocated once per step and
+    shared by every parameter, so a large tensor makes no full-size
+    temporaries (each would be a fresh allocation that page-faults). A
+    tensor of one chunk runs it once in its own shape, through four
+    temporaries numpy allocates and the chain reuses. Every element sees
+    the same operations in the same order, so neither changes a bit. Each
+    step gives every parameter with a gradient a new weight array and never
+    writes into the old one, so a held `state_dict()` stays a snapshot."""
 
     def __init__(
         self,
@@ -166,13 +201,15 @@ class AdamW(nn.Module):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
+        _check_adamw(betas, eps, weight_decay)
         self.params = params
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.betas = (float(betas[0]), float(betas[1]))
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.t = np.zeros(1, dtype=np.int64)
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # C order, so each flattened moment is a view that the step writes into
+        self.m = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
 
     def children(self) -> dict:
         return {
@@ -191,20 +228,50 @@ class AdamW(nn.Module):
         b1, b2 = self.betas
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
+        eps, decay = self.eps, self.weight_decay
+        scratch = {}  # (grad dtype, weight dtype) -> four chunk buffers, shared by every parameter
         for k, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m = self.m[k]
-            v = self.v[k]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = (p.data - lr * update).astype(p.data.dtype)
+            w, m, v = p.data, self.m[k], self.v[k]
+            if w.ndim and w.size <= _CHUNK:
+                # one chunk, through numpy's temporaries (a 0-d chain would
+                # make numpy scalars, so 0-d goes the sliced way); the new
+                # weights are made last, where the allocator hands back a
+                # warm block
+                new, chunks = None, [(m, v, g, w, None, None, None, None, None)]
+            else:
+                bufs = scratch.get((g.dtype, w.dtype))
+                if bufs is None:
+                    dtypes = (g.dtype, w.dtype, w.dtype, np.result_type(lr, w.dtype))
+                    bufs = scratch[g.dtype, w.dtype] = [np.empty(_CHUNK, d) for d in dtypes]
+                new = np.empty(w.shape, w.dtype)
+                flat = [a.reshape(-1) for a in (m, v, g, w, new)]
+                chunks = (
+                    [a[s : s + _CHUNK] for a in flat] + [b[: min(_CHUNK, w.size - s)] for b in bufs]
+                    for s in range(0, w.size, _CHUNK)
+                )
+            for mc, vc, gc, wc, out, inc, u, den, lr_u in chunks:
+                mc *= b1
+                inc = np.multiply(1 - b1, gc, out=inc)
+                mc += inc
+                vc *= b2
+                inc = np.multiply(1 - b2, gc, out=inc)
+                inc *= gc
+                vc += inc
+                u = np.divide(mc, bc1, out=u)
+                den = np.divide(vc, bc2, out=den)
+                np.sqrt(den, out=den)
+                den += eps
+                u /= den
+                if decay:
+                    u += np.multiply(decay, wc, out=den)
+                lr_u = np.multiply(lr, u, out=lr_u)
+                if out is None:
+                    out = new = np.empty(w.shape, w.dtype)
+                np.subtract(wc, lr_u, out=out)
+            p.data = new
 
 
 def _divergence(step: int, loss_value: float, norm: float | None, params: dict[str, Tensor], last_finite) -> DivergenceError:

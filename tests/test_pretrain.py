@@ -239,6 +239,112 @@ class TestAdamW:
         np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
 
 
+def _whole_tensor_step(w, g, m, v, t, lr, betas, eps, weight_decay):
+    """The AdamW update as one expression chain over whole tensors: the
+    oracle the chunked step must match bit for bit. Updates `m` and `v` in
+    place and returns the new weights."""
+    b1, b2 = betas
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    if weight_decay:
+        update = update + weight_decay * w
+    return (w - lr * update).astype(w.dtype)
+
+
+class TestChunkedAdamW:
+    @staticmethod
+    def _params(rng, grad_dtype):
+        """(weights, grad maker) per name: tensors of several chunks with a
+        ragged tail, one with a transposed-view grad, a small one that also
+        gets a transposed grad, one element, a 0-d one, and one left without
+        a grad."""
+        chunk = pretrain._CHUNK
+        shapes = {
+            "ragged": ((3, chunk - 5), False),
+            "ragged_t": ((chunk // 2 + 3, 5), True),
+            "small_t": ((4, 6), True),
+            "one": ((1,), False),
+            "scalar": ((), False),
+            "frozen": ((3,), None),
+        }
+        params, grads = {}, {}
+        for name, (shape, transposed) in shapes.items():
+            params[name] = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            if transposed is None:
+                grads[name] = None
+            elif transposed:
+                grads[name] = lambda r, shape=shape: r.normal(size=shape[::-1]).astype(grad_dtype).T
+            else:
+                grads[name] = lambda r, shape=shape: r.normal(size=shape).astype(grad_dtype)
+        return params, grads
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr_kind", [float, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_the_whole_tensor_chain(self, grad_dtype, lr_kind, weight_decay):
+        rng = np.random.default_rng(11)
+        params, grads = self._params(rng, grad_dtype)
+        assert params["ragged"].size > 2 * pretrain._CHUNK and params["ragged"].size % pretrain._CHUNK
+        assert not grads["ragged_t"](rng).flags.c_contiguous
+        betas, eps = (0.9, 0.99), 1e-6
+        opt = AdamW(params, betas=betas, eps=eps, weight_decay=weight_decay)
+        w = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        frozen = params["frozen"].data
+        steps = 6
+        for step in range(steps):
+            lr = lr_kind(cosine_lr(step, steps, 1e-2, 1e-4))
+            held = {k: (p.data, p.data.copy()) for k, p in params.items()}
+            for k, p in params.items():
+                p.grad = None if grads[k] is None else grads[k](rng)
+                if p.grad is not None:
+                    w[k] = _whole_tensor_step(w[k], p.grad, m[k], v[k], step + 1, lr, betas, eps, weight_decay)
+            opt.step(lr)
+            for k, p in params.items():
+                msg = f"step {step}: {k}"
+                assert p.data.dtype == np.float32 and p.data.shape == w[k].shape, msg
+                np.testing.assert_array_equal(p.data, w[k], err_msg=msg)
+                np.testing.assert_array_equal(opt.m[k], m[k], err_msg=msg)
+                np.testing.assert_array_equal(opt.v[k], v[k], err_msg=msg)
+                # a stepped parameter gets a new array; the one it had is not written
+                old, copy = held[k]
+                np.testing.assert_array_equal(old, copy, err_msg=msg)
+                assert (p.data is not old) == (k != "frozen"), msg
+        # no grad: no moments and no decay
+        assert params["frozen"].data is frozen
+        assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
+    def test_numpy_scalar_hyperparameters_promote_nothing(self):
+        runs = []
+        for cast in (float, np.float64):
+            p = Tensor(np.ones((5, 7), dtype=np.float32), requires_grad=True)
+            opt = AdamW({"p": p}, betas=(cast(0.9), cast(0.99)), eps=cast(1e-6), weight_decay=cast(0.05))
+            for _ in range(3):
+                p.grad = np.random.default_rng(2).normal(size=p.shape).astype(np.float32)
+                opt.step(np.float64(1e-2))
+            runs.append((p.data, opt.m["p"], opt.v["p"]))
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(betas=(1.0, 0.999)), dict(betas=(0.9, 1.0)), dict(betas=(-0.1, 0.999)), dict(betas=(np.nan, 0.999)),
+            dict(betas=(0.9,)), dict(eps=0.0), dict(eps=-1e-8), dict(eps=np.nan), dict(weight_decay=-1e-3),
+            dict(weight_decay=np.nan),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            AdamW({"p": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}, **kwargs)
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -506,15 +612,22 @@ class TestStateTree:
         assert set(named) == {id(t) for t in _reachable_params(model)}
 
     def test_state_dict_is_a_snapshot(self, build):
+        # held across steps, as the probe holds its best state while it trains on
         model = build(np.random.default_rng(0))
         snapshot = model.state_dict()
         before = {k: v.copy() for k, v in snapshot.items()}
         params = model.named_params()
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        AdamW(params).step(1e-2)
-        for k, v in snapshot.items():
-            np.testing.assert_array_equal(v, before[k], err_msg=k)
+        opt = AdamW(params, weight_decay=0.1)
+        for step in range(4):
+            arrays = {k: p.data for k, p in params.items()}
+            for p in params.values():
+                p.grad = np.ones_like(p.data)
+            opt.step(1e-2)
+            for k, v in snapshot.items():
+                np.testing.assert_array_equal(v, before[k], err_msg=f"step {step}: {k}")
+            for k, p in params.items():
+                assert p.data is not arrays[k], f"step {step}: {k}"
+                assert not np.shares_memory(p.data, snapshot[k]), f"step {step}: {k}"
         assert all(not np.array_equal(p.data, before[k]) for k, p in params.items())
 
 
