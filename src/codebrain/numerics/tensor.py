@@ -19,6 +19,11 @@ stale closures.
 Storage is float32 by default; float64 inputs stay float64 end to end, which
 is what the finite-difference checker relies on. Reductions (`sum`, `mean`)
 and the transform primitives always accumulate in 64-bit before casting back.
+A gradient has its tensor's dtype: in a graph of one dtype every adjoint
+returns gradients of that dtype (a mean divides by its count as a Python
+int), so a float32 model runs its whole backward in float32. Where dtypes
+mix, `backward` casts the first gradient a node or leaf gets to its dtype
+and adds later ones as they come.
 
 Only the primitives this package needs are implemented. Convolution,
 spectral convolution, dense and windowed attention and the layers every
@@ -29,12 +34,7 @@ expressions of the primitive chain it replaces, in the chain's order and
 with the dtype cast each inner node's first gradient gets, so it matches
 the chain bit for bit. Dense attention whose weights pass a fixed budget
 keeps only each softmax row's max and sum, and its adjoint recomputes the
-weights chunk by chunk with the same expressions. `conv1d` makes the
-matmuls `np.einsum(..., optimize=True)` plans for its three contractions,
-`(Cout, Cin·k) @ (Cin·k, B·L)` forward, `(Cin, Cout) @ (Cout, B·L)` per
-filter tap for the input's adjoint and `(Cin·k, B·L) @ (B·L, Cout)` for the
-filters', on operands laid out as that plan lays them out, so it matches
-`einsum` bit for bit without planning the contraction on every call.
+weights chunk by chunk with the same expressions.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False):
         d = self.data
         out = d.mean(axis=axis, keepdims=keepdims, dtype=np.float64).astype(d.dtype)
-        count = d.size if axis is None else np.prod([d.shape[a] for a in _axes(axis, d.ndim)])
+        count = math.prod([d.shape[a] for a in _axes(axis, d.ndim)])
         shape = d.shape
 
         def vjp(g):
@@ -759,8 +759,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
     so it normalizes each channel over the batch and the sequence.
 
     The chain is `c = x - x.mean(axis)`, then
-    `c / ((c * c).mean(axis) + eps) ** 0.5 * gamma + beta`. Its mean adjoints
-    divide by an int64 count and so come out float64. The parents are
+    `c / ((c * c).mean(axis) + eps) ** 0.5 * gamma + beta`, and its mean
+    adjoints keep the data's dtype. The parents are
     (x, x, gamma, beta): `x` gets two gradients, through the centring
     subtraction and then through the mean, and `backward` adds them in that
     order after any it already holds (a residual branch's), as for the chain.
@@ -768,7 +768,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
     xd, gd, bd = x.data, gamma.data, beta.data
     dt = xd.dtype
     axes = _axes(axis, xd.ndim)
-    count = np.int64(math.prod([xd.shape[a] for a in axes]))
+    count = math.prod([xd.shape[a] for a in axes])
     mu = _mean64(xd, axes, count).astype(dt)
     c = xd - mu
     ve = _mean64(c * c, axes, count).astype(dt) + _as_array(eps)
@@ -793,7 +793,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis=-
                 gxn = np.asarray(gh * gd, dtype=dt)
                 gr = _unbroadcast(-gxn * c / (r * r), r.shape)
                 gve = gr * 0.5 * ve**-0.5
-                gsq = np.asarray(_spread(gve, c.shape, axis, True) / count, dtype=dt)
+                gsq = _spread(gve, c.shape, axis, True) / count
                 t = gsq * c  # both factors of c * c
                 gc = gxn / r + t
                 gc = gc + t
@@ -808,8 +808,9 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
     `scale`, as one tape node.
 
     A zero vector maps to a zero vector; `eps` keeps the division defined.
-    The chain is `x * scale / ((x * x).mean(-1) + eps) ** 0.5`. Its mean
-    adjoint divides by an int64 count and so comes out float64. The parents
+    The chain is `x * scale / ((x * x).mean(-1) + eps) ** 0.5`. The mean's
+    adjoint divides in float64 and casts back, which rounds as the chain's
+    division in the data's dtype does. The parents
     are (x, scale, x, x): `x` gets three gradients, through `x * scale` and
     then through each factor of `x * x`, and `backward` adds them in that
     order after any it already holds (a residual branch's), as for the chain.
@@ -872,30 +873,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _from_op(out, (logits,), vjp)
 
 
-def _columns(win: np.ndarray) -> np.ndarray:
-    """The (Cin·k, B·L) operand numpy's einsum plan makes from conv windows
-    (B, Cin, L, k): a C-ordered copy of them, Cin and k before B and L.
-
-    With one input channel the plan first drops that unit axis with a
-    one-operand einsum, whose output keeps the windows' memory order,
-    (B, L, k), so the operand is that copy transposed. At stride 1 the L and
-    k strides tie, the einsum keeps (B, k, L), and the copy is C-ordered again.
-    """
-    b, c, l, k = win.shape
-    if c == 1 and win.strides[2] != win.strides[3]:
-        return win.reshape(b * l, k).T
-    return win.transpose(1, 3, 0, 2).reshape(c * k, b * l)
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of (B, Cin, L) with filters (Cout, Cin, k), with
     `pad` zeros at each end of L and a step of `stride`, as one tape node.
 
-    It makes the matmuls `np.einsum(..., optimize=True)` plans for
-    `bclk,ock->bol`, `bol,oc->bcl` (per tap) and `bol,bclk->ock` (see the
-    module docstring), so it matches einsum bit for bit while B, Cout, k
-    and the output length all exceed one. With another unit axis numpy's
-    plan takes other layouts, and a result may differ in the last bit.
+    The forward is one matmul, `(Cout, Cin·k) @ (Cin·k, B·L)`, over a
+    C-ordered copy of the input's windows for every channel count. The
+    filters' adjoint rebuilds that copy for `(Cin·k, B·L) @ (B·L, Cout)`
+    rather than keep it on the tape, and the input's adjoint makes one
+    `(Cin, Cout) @ (Cout, B·L)` per filter tap.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 3 or wd.ndim != 3:
@@ -913,7 +899,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     lout = (xp.shape[2] - k) // stride + 1
     s0, s1, s2 = xp.strides
     win = as_strided(xp, (bs, c, lout, k), (s0, s1, s2 * stride, s2), writeable=False)
-    out = (wd.reshape(o, c * k) @ _columns(win)).reshape(o, bs, lout).transpose(1, 0, 2)
+    cols = np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(c * k, bs * lout)
+    out = (wd.reshape(o, c * k) @ cols).reshape(o, bs, lout).transpose(1, 0, 2)
     parents: tuple[Tensor, ...]
     if b is not None:
         out = out + b.data[:, None]
@@ -930,18 +917,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     def vjp(g):
         dx = dw = None
         if fw is not None:
-            # every tap's plan copies g to the same (Cout, B·L) operand
             gt = g.transpose(1, 0, 2).reshape(o, bs * lout)
-            taps = fw.transpose(2, 1, 0)  # tap t is the plan's fw[:, :, t].T
-            if c == 1:  # the plan's one-operand einsum leaves each a new row
-                taps = taps.copy()
+            taps = fw.transpose(2, 1, 0)  # taps[t] is fw[:, :, t].T
             dxp = np.zeros(padded, dtype=g.dtype)
             for t in range(k):
                 dxp[:, :, t : t + stride * lout : stride] += (taps[t] @ gt).reshape(c, bs, lout).transpose(1, 0, 2)
             dx = dxp[inner]
         if xw is not None:
             gl = g.transpose(0, 2, 1).reshape(bs * lout, o)
-            dw = (_columns(xw) @ gl).reshape(c, k, o).transpose(2, 0, 1)
+            cols = np.ascontiguousarray(xw.transpose(1, 3, 0, 2)).reshape(c * k, bs * lout)
+            dw = (cols @ gl).reshape(c, k, o).transpose(2, 0, 1)
         if biased:
             return (dx, dw, g.sum(axis=(0, 2)) if rb else None)
         return (dx, dw)

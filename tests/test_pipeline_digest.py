@@ -31,12 +31,12 @@ ENVIRONMENT = {
 }
 
 DIGESTS = {
-    "stage1_checkpoint": "e5810e2b706fe7cc6966a7c55fc3b1361c0263fc005d9450031aec86598dadeb",
-    "stage1_history": "df4db757a510bc09bd274efa9d51a668944d38300b0c15d56fd5f6f9c0055871",
-    "tokens": "67273eab4dfeb4723df50ebbac6f092bb77a96292feea2b19a159f51e221bc09",
-    "stage2_checkpoint": "089caadf3e65f36f064a20d2b2b4e60ba46e45d8d064a0ff06ef0e11ec3c9106",
-    "stage2_history": "06e13361399f172b809fa9919b25b69e4da697c14baa4d971b71d6a8cf7f63c9",
-    "features": "bc0c2efc1faa5951c4f7e3047d9a69caefa88d2fb36be57e4937739f15c140f7",
+    "stage1_checkpoint": "782625c164385b9da26dc366506e31f500d57a68318f7d7736749fd60432dcf0",
+    "stage1_history": "9387570e58bb345254fe47603f9d52bbaf6e995526dd97486a7a4169742b21fd",
+    "tokens": "37b3c162c562971699c2d44decf1022a23653a935c5981470f42152d6c4e97d9",
+    "stage2_checkpoint": "ebd3aba5a297d55c31cea8fb08ef99ec14636c283fdca2376ec65c7ad0f3e1ff",
+    "stage2_history": "d75dd976a948dcd276a1339a7316a0e124dbbb7f419725f2ca516d37bd1c81d7",
+    "features": "8c25c037846e65dc1966645ccbca179b54f311683f6eb386f7adbd896b013ac8",
     "probe_report": "8f595afb1b1464e5a3405a4fdc0d79fa80a9a8f6ba8c3f2d75fd0ff4ccf35054",
 }
 

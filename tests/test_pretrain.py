@@ -35,7 +35,7 @@ from codebrain.pretrain import (
 )
 from codebrain.probe import ProbeConfig, ProbeHead
 from codebrain.ssm import EegssmConfig, EegssmModel, EegssmOutput
-from codebrain.tokenizer import TokenGrid, TokenizerModel
+from codebrain.tokenizer import TokenGrid, TokenizerConfig, TokenizerModel
 from test_autodiff import _tape, tape_arrays
 from test_tokenizer import make_grid, tiny_config
 
@@ -1085,6 +1085,54 @@ def test_no_gradient_outlives_training(tmp_path, stage):
         model, data = stage2_setup()
         train_eegssm(model, data, TestTrainEegssm().config(steps=3), out_dir=str(tmp_path), checkpoint_every=2)
     assert [k for k, p in model.named_params().items() if p.grad is not None] == []
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_every_gradient_has_its_tensors_dtype(monkeypatch, stage):
+    # one desk-width training step at batch 4 (stage 2 with dropout on):
+    # each node's vjp sees the gradient backward handed it, and each leaf's
+    # gradient is read before the loop clears it
+    rng = np.random.default_rng(stage)
+    grids = [make_grid(rng, c=4, n=8, t=200) for _ in range(4)]
+    config = TrainConfig(steps=1, batch_size=4, seed=0)
+    if stage == 1:
+        model = TokenizerModel(TokenizerConfig(
+            patch_len=200, hidden=64, enc_layers=2, dec_layers=1, heads=4,
+            mlp_dim=256, codebook_size=256, code_dim=16, commitment_beta=0.25,
+        ), np.random.default_rng(0))
+    else:
+        model = EegssmModel(EegssmConfig(
+            patch_len=200, features=64, blocks=2, kernel_len=32, kernel_base=4,
+            window=7, codebook_size=256, p_drop=0.1,
+        ), np.random.default_rng(0))
+    params = model.named_params()
+    names = {id(p): name for name, p in params.items()}
+    handed, leaves, real_backward = [], {}, pretrain.backward
+
+    def checked_backward(loss):
+        tape = _tape(loss)
+        for node in tape:
+            if isinstance(node, _Node):
+                def spy(g, node=node, vjp=node.vjp):
+                    handed.append((vjp.__qualname__, node.dtype, g.dtype))
+                    return vjp(g)
+
+                node.vjp = spy
+        real_backward(loss)
+        leaves.update((names[id(t)], t.grad.dtype) for t in tape if isinstance(t, Tensor))
+
+    monkeypatch.setattr(pretrain, "backward", checked_backward)
+    if stage == 1:
+        train_tokenizer(model, grids, config)
+    else:
+        tokens = [TokenGrid(*rng.integers(0, 256, size=(2, 4, 8)).astype(np.int32)) for _ in grids]
+        train_eegssm(model, list(zip(grids, tokens)), config)
+    # the stack sums skip branches only, so the last block's residual
+    # branch, and the map that makes it, get no gradient
+    unused = {"block1/gate/out1/w", "block1/gate/out1/b"} if stage == 2 else set()
+    assert len(handed) > 50 and set(params) - set(leaves) == unused
+    assert {name: dt.name for name, dt in leaves.items() if dt != params[name].dtype} == {}
+    assert sorted({(name, want.name, got.name) for name, want, got in handed if got != want}) == []
 
 
 def test_divergence_keeps_the_failed_steps_gradients():
