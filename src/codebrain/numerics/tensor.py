@@ -480,12 +480,12 @@ def take_rows(table: Tensor, idx) -> Tensor:
 
 
 def _zero_pad(d: np.ndarray, axis: int, before: int, after: int) -> tuple[np.ndarray, tuple]:
-    """`d` with `before` and `after` zeros along `axis`, laid out as `np.pad`
-    lays it out, and the index of `d` inside it."""
+    """`d` with `before` and `after` zeros along `axis`, in a new C-ordered
+    array, and the index of `d` inside it."""
     axis %= d.ndim
     shape = list(d.shape)
     shape[axis] += before + after
-    out = np.zeros(shape, dtype=d.dtype, order="F" if d.flags.fnc else "C")
+    out = np.zeros(shape, dtype=d.dtype)
     inner = (slice(None),) * axis + (slice(before, before + d.shape[axis]),)
     out[inner] = d
     return out, inner
@@ -808,16 +808,15 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
     `scale`, as one tape node.
 
     A zero vector maps to a zero vector; `eps` keeps the division defined.
-    The chain is `x * scale / ((x * x).mean(-1) + eps) ** 0.5`. The mean's
-    adjoint divides in float64 and casts back, which rounds as the chain's
-    division in the data's dtype does. The parents
+    The chain is `x * scale / ((x * x).mean(-1) + eps) ** 0.5`, and the
+    mean's adjoint divides by its count in the data's dtype. The parents
     are (x, scale, x, x): `x` gets three gradients, through `x * scale` and
     then through each factor of `x * x`, and `backward` adds them in that
     order after any it already holds (a residual branch's), as for the chain.
     """
     xd, sd = x.data, scale.data
     dt = xd.dtype
-    count = np.int64(xd.shape[-1])
+    count = xd.shape[-1]
     ms = _mean64(xd * xd, -1, count).astype(dt)
     mse = ms + _as_array(eps)
     den = mse**0.5
@@ -833,7 +832,7 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float = 1e-8) -> Tensor:
             gx = gnum * sd
             num = xd * sd  # recomputed rather than kept from the forward pass
             gden = np.asarray(_unbroadcast(-g * num / (den * den), den.shape), dtype=dt)
-            gsq = np.asarray(_spread(gden * 0.5 * mse**-0.5, xd.shape, -1, True) / count, dtype=dt)
+            gsq = _spread(gden * 0.5 * mse**-0.5, xd.shape, -1, True) / count
             t = gsq * xd  # both factors of x * x
         return (gx, gs, t, t)
 
