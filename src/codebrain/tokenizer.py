@@ -7,7 +7,10 @@ patch sequence, and the resulting embedding is quantized twice against two
 independent codebooks. Two decoders close the loop: a frequency decoder
 reconstructs the amplitude and phase spectra from the frequency-side code,
 and a temporal decoder reconstructs the raw waveform from the time-side code
-while a contrastive term ties together the two halves of each record.
+while a contrastive term ties together the two halves of each record. A
+training step runs the per-patch front end (convolutions, spectrum map,
+position rows) once; each half's view runs the transformer over that half's
+rows of the patch embeddings.
 
 Gradients reach the encoder through a straight-through estimator (the
 quantizer's output behaves like the identity map in the backward pass), and
@@ -240,21 +243,21 @@ class TokenizerModel(nn.Module):
 
     # ---- forward pieces --------------------------------------------------
 
-    def _conv_stack(self, x: Tensor, train: bool) -> Tensor:
-        for conv in self.convs:
-            x = conv(x, train)
-        return x
-
-    def encode(self, patches: np.ndarray, freq_in: np.ndarray, positions: np.ndarray, train: bool = False) -> Tensor:
-        """(B, S, T) patches + (B, S, bins) spectra -> (B, S, hidden)."""
+    def embed(self, patches: np.ndarray, freq_in: np.ndarray, positions: np.ndarray, train: bool = False) -> Tensor:
+        """The per-patch front end: (B, S, T) patches + (B, S, bins) spectra
+        -> (B, S, hidden) patch embeddings, position rows added."""
         b, s, t = patches.shape
-        x = Tensor(patches.reshape(b * s, 1, t))
-        h = self._conv_stack(x, train)
+        h = Tensor(patches.reshape(b * s, 1, t))
+        for conv in self.convs:
+            h = conv(h, train)
         h = h.reshape(b, s, self.config.time_feat)
         fr = self.freq_proj(Tensor(freq_in))
         ep = self.input_proj(concat([h, fr], axis=-1))
-        ep = ep + take_rows(self.pos_embed, positions)
-        return self.encoder(ep)
+        return ep + take_rows(self.pos_embed, positions)
+
+    def encode(self, patches: np.ndarray, freq_in: np.ndarray, positions: np.ndarray, train: bool = False) -> Tensor:
+        """(B, S, T) patches + (B, S, bins) spectra -> (B, S, hidden)."""
+        return self.encoder(self.embed(patches, freq_in, positions, train))
 
 
 # ---- batching ---------------------------------------------------------------
@@ -332,21 +335,6 @@ def contrastive_loss(h: Tensor, h_tilde: Tensor, temperature: float = 0.5) -> Te
     return cross_entropy(sims, partners).mean()
 
 
-def _encode_half(model: TokenizerModel, batch: Stage1Batch, second: bool, train: bool) -> Tensor:
-    n = batch.windows_per_channel
-    if n < 2:
-        raise ValueError("contrastive views need at least 2 windows per channel")
-    slot_window = batch.positions[0] % n
-    keep = slot_window >= (n // 2) if second else slot_window < (n // 2)
-    enc = model.encode(
-        batch.patches[:, keep],
-        batch.freq_in[:, keep],
-        batch.positions[:, keep],
-        train=train,
-    )
-    return enc.mean(axis=1)
-
-
 def _quantize_st(e_d: Tensor, codebook: Codebook) -> tuple[Tensor, Tensor]:
     """Nearest codes, counted in `codebook.usage`, and a straight-through
     path back to the embeddings."""
@@ -359,13 +347,21 @@ def _quantize_st(e_d: Tensor, codebook: Codebook) -> tuple[Tensor, Tensor]:
 
 
 def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False) -> dict[str, Tensor]:
-    """All tokenizer loss components from one shared encoder pass.
+    """All tokenizer loss components from one front-end pass.
+
+    The patch embeddings of the whole batch feed the encoder once for the
+    reconstruction and quantization terms, and the embeddings of each half
+    of every channel's windows feed it again for that half's contrastive
+    view, so each BatchNorm normalises and updates from the whole batch once.
 
     Returns tensors keyed: freq_recon, temporal_recon, contrastive,
     codebook_sg, and total. Each codebook counts its B*S lookups in `usage`.
     """
-    e = model.encode(batch.patches, batch.freq_in, batch.positions, train=train)
-    e_d = model.down(e)
+    n = batch.windows_per_channel
+    if n < 2:
+        raise ValueError("contrastive views need at least 2 windows per channel")
+    ep = model.embed(batch.patches, batch.freq_in, batch.positions, train=train)
+    e_d = model.down(model.encoder(ep))
 
     v_f, st_f = _quantize_st(e_d, model.codebook_f)
     v_t, st_t = _quantize_st(e_d, model.codebook_t)
@@ -378,8 +374,8 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
     dt = model.t_decoder(model.up_t(st_t))
     temporal_recon = _sse_mean(model.t_head(dt), batch.patches)
 
-    h1 = _encode_half(model, batch, second=False, train=train)
-    h2 = _encode_half(model, batch, second=True, train=train)
+    first = batch.positions[0] % n < n // 2
+    h1, h2 = (model.encoder(ep[:, keep]).mean(axis=1) for keep in (first, ~first))
     cl = contrastive_loss(h1, h2, model.config.temperature)
 
     sg_t = _sse_mean(v_t, e_d.data)

@@ -31,12 +31,12 @@ ENVIRONMENT = {
 }
 
 DIGESTS = {
-    "stage1_checkpoint": "782625c164385b9da26dc366506e31f500d57a68318f7d7736749fd60432dcf0",
-    "stage1_history": "9387570e58bb345254fe47603f9d52bbaf6e995526dd97486a7a4169742b21fd",
-    "tokens": "37b3c162c562971699c2d44decf1022a23653a935c5981470f42152d6c4e97d9",
-    "stage2_checkpoint": "ebd3aba5a297d55c31cea8fb08ef99ec14636c283fdca2376ec65c7ad0f3e1ff",
-    "stage2_history": "d75dd976a948dcd276a1339a7316a0e124dbbb7f419725f2ca516d37bd1c81d7",
-    "features": "8c25c037846e65dc1966645ccbca179b54f311683f6eb386f7adbd896b013ac8",
+    "stage1_checkpoint": "be6bad72c4dc998ea9723a48d0c339e7f3b5245ec03d4b0a7ead49c768281fe3",
+    "stage1_history": "537eb450564f5ce75f20281f8cdd1b8e7573c76b5013229d85458c4a57d29f15",
+    "tokens": "485f7c9052fc0431e55122eb4fcb4f025492dcde080ffd01262795aa532db3fd",
+    "stage2_checkpoint": "0800750a478d6a2094ec0665588467301e4a3218f7592e6895129526e7b81c57",
+    "stage2_history": "f83f9b86697eb470fe6d7ffe7bc2fdd491972c4631f40e27aadfef3a3a775e64",
+    "features": "32840fcdfaf5b471169fe64d1d8aedc864485cf0824122d2e3c0f1ca71db5771",
     "probe_report": "8f595afb1b1464e5a3405a4fdc0d79fa80a9a8f6ba8c3f2d75fd0ff4ccf35054",
 }
 

@@ -5,8 +5,8 @@ tokenization determinism, and the usage/dominance analytics."""
 import numpy as np
 import pytest
 
-from codebrain import cli
-from codebrain.numerics import Tensor, backward, finite_diff_check, no_grad
+from codebrain import cli, nn
+from codebrain.numerics import Tensor, backward, conv1d, finite_diff_check, no_grad
 from codebrain.signal import PatchGrid, freq_features
 from codebrain.tokenizer import (
     Codebook,
@@ -21,6 +21,7 @@ from codebrain.tokenizer import (
     tokenize,
 )
 from codebrain.tokenizer import _quantize_st
+from test_autodiff import _tape
 
 
 def tiny_config(**kw):
@@ -401,6 +402,88 @@ class TestLosses:
         finally:
             model.t_head.w = Tensor(w0, requires_grad=True)
         assert err < 1e-4
+
+
+DESK = TokenizerConfig(
+    patch_len=200, hidden=64, enc_layers=2, dec_layers=1, heads=4,
+    mlp_dim=256, codebook_size=256, code_dim=16, commitment_beta=0.25,
+)
+
+
+def desk_step(windows=8):
+    """A desk-width tokenizer and a batch of 4 records of 4 channels."""
+    rng = np.random.default_rng(30)
+    model = TokenizerModel(DESK, rng)
+    grids = [PatchGrid(patches=rng.normal(size=(4, windows, 200)).astype(np.float32)) for _ in range(4)]
+    return model, make_stage1_batch(grids)
+
+
+class TestStage1Step:
+    def test_each_batch_norm_trains_once_on_the_whole_batch(self, monkeypatch):
+        model, batch = desk_step()
+        calls = []
+        real = nn.BatchNorm1d.__call__
+
+        def counting(bn, x, train):
+            calls.append((id(bn), train, x.shape[0]))
+            return real(bn, x, train)
+
+        monkeypatch.setattr(nn.BatchNorm1d, "__call__", counting)
+        stage1_losses(model, batch, train=True)
+        rows = batch.patches.shape[0] * batch.patches.shape[1]
+        assert sorted(calls) == sorted((id(conv.bn), True, rows) for conv in model.convs)
+
+    def test_running_statistics_take_one_update_from_the_whole_batch(self):
+        model, batch = desk_step()
+        b, s, t = batch.patches.shape
+        h = batch.patches.reshape(b * s, 1, t)
+        expected = []
+        for conv in model.convs:
+            bn = conv.bn
+            y = conv1d(Tensor(h), conv.w, conv.b, stride=conv.stride, pad=conv.pad).data.astype(np.float64)
+            mu, var = y.mean(axis=(0, 2)), y.var(axis=(0, 2))
+            m = bn.MOMENTUM
+            expected.append(((1 - m) * bn.running_mean + m * mu, (1 - m) * bn.running_var + m * var))
+            z = (y - mu[:, None]) / np.sqrt(var[:, None] + bn.EPS) * bn.gamma.data[:, None] + bn.beta.data[:, None]
+            h = np.maximum(z, 0).astype(np.float32)
+        stage1_losses(model, batch, train=True)
+        for conv, (mean, var) in zip(model.convs, expected):
+            np.testing.assert_allclose(conv.bn.running_mean, mean, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(conv.bn.running_var, var, rtol=1e-4, atol=1e-6)
+
+    def test_one_window_per_channel_raises_before_any_buffer_moves(self):
+        model, batch = desk_step(windows=1)
+        before = {k: v.copy() for k, v in model.named_buffers().items()}
+        with pytest.raises(ValueError, match="2 windows per channel"):
+            stage1_losses(model, batch, train=True)
+        for name, value in model.named_buffers().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    def test_step_tape_size(self):
+        # one front end, then the encoder over the whole sequence and over
+        # each half's rows of the patch embeddings; every parameter is a leaf
+        model, batch = desk_step()
+        losses = stage1_losses(model, batch, train=True)
+        # per conv stage: conv, two parameter views, norm, ReLU; then the
+        # reshape, spectrum map, concat, input map, position rows and add
+        front = 3 * 5 + 6
+        # two norms, six linears, attention, ReLU, two residual adds, and a
+        # reshape and a transpose for each of q/k/v and the merged heads
+        layer = 2 + 6 + 1 + 1 + 2 + 4 * 2
+        enc, dec = 2 * layer + 1, layer + 1  # each with its final norm
+        halves = 2 * (1 + enc + 1)  # row pick, encoder, mean
+        sse = 4  # subtract, square, sum, mean
+        quantize = 1 + 2 * 2  # down map; per codebook, code rows and the straight-through add
+        freq = 1 + dec + 2 * (1 + sse) + 1
+        temporal = 1 + dec + 1 + sse
+        # concat, square, sum, eps, root, divide, transpose, matmul, scale,
+        # self mask, cross entropy, mean
+        contrastive = 12
+        sg = 2 * sse
+        commit = 2 * (2 + 3) + 2  # per codebook: two subtracts, product, sum, mean; add, scale
+        total = 4 + 1  # the four terms' adds and the commitment's
+        nodes = front + enc + halves + quantize + freq + temporal + contrastive + sg + commit + total
+        assert len(_tape(losses["total"])) == len(model.named_params()) + nodes
 
 
 def make_grid(rng, c=2, n=4, t=16):
