@@ -352,7 +352,7 @@ def stage1_losses(model: TokenizerModel, batch: Stage1Batch, train: bool = False
     The patch embeddings of the whole batch feed the encoder once for the
     reconstruction and quantization terms, and the embeddings of each half
     of every channel's windows feed it again for that half's contrastive
-    view, so each BatchNorm normalises and updates from the whole batch once.
+    view, so each BatchNorm normalizes and updates from the whole batch once.
 
     Returns tensors keyed: freq_recon, temporal_recon, contrastive,
     codebook_sg, and total. Each codebook counts its B*S lookups in `usage`.

@@ -474,8 +474,8 @@ class TestStage1Step:
         halves = 2 * (1 + enc + 1)  # row pick, encoder, mean
         sse = 4  # subtract, square, sum, mean
         quantize = 1 + 2 * 2  # down map; per codebook, code rows and the straight-through add
-        freq = 1 + dec + 2 * (1 + sse) + 1
-        temporal = 1 + dec + 1 + sse
+        freq = 1 + dec + 2 * (1 + sse) + 1  # up map, decoder, two heads with their sums, add
+        temporal = 1 + dec + 1 + sse  # up map, decoder, head, sum
         # concat, square, sum, eps, root, divide, transpose, matmul, scale,
         # self mask, cross entropy, mean
         contrastive = 12
