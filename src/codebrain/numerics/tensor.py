@@ -188,10 +188,10 @@ class Tensor:
         d = self.data
         out = d[key]
         shape = d.shape
-        # an integer or boolean array can pick an element twice, and `+=`
-        # would keep only one of its gradients; basic keys write disjointly
+        # an integer array or list can pick an element twice, and `+=` would
+        # keep only one of its gradients; basic keys and masks write disjointly
         parts = key if isinstance(key, tuple) else (key,)
-        repeats = any(isinstance(k, (list, np.ndarray)) for k in parts)
+        repeats = any(isinstance(k, list) or (isinstance(k, np.ndarray) and k.dtype != bool) for k in parts)
 
         def vjp(g):
             buf = np.zeros(shape, dtype=g.dtype)

@@ -108,8 +108,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
+        if self.steps < 1 or self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("steps, batch_size and epochs must be positive")
         if not (np.isfinite(self.peak_lr) and 0 <= self.min_lr <= self.peak_lr):  # NaN too
             raise ValueError(f"need finite lrs with 0 <= min lr <= peak lr, got {self.peak_lr} and {self.min_lr}")
         if not 0.0 < self.mask_ratio < 1.0:
@@ -549,7 +549,7 @@ def train_tokenizer(
     cumulative unused-code counts of both codebooks. Divergence handling,
     checkpoints and resume are those of the shared loop.
     """
-    steps_per_epoch = max(1, config.steps // max(1, config.epochs))
+    steps_per_epoch = max(1, config.steps // config.epochs)
 
     def step_fn(step, grids, rng):
         losses = stage1_losses(model, make_stage1_batch(grids), train=True)

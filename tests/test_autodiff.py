@@ -835,8 +835,10 @@ class TestStructuralPrimitives:
             (slice(1, None), np.array([0, 2, 0, 0])),
             np.array([[True, False, True, True], [False, True, False, False], [True, True, False, True]]),
             (np.array([2, 0, 2]), slice(None, None, 2)),
+            np.array([True, False, True]),
+            (slice(None), np.array([False, True, True, False])),
         ],
-        ids=["slice_and_repeats", "bool_mask", "repeats_and_slice"],
+        ids=["slice_and_repeats", "bool_mask", "repeats_and_slice", "bool_rows", "slice_and_bool"],
     )
     def test_getitem_gradient_advanced_keys(self, key):
         rng = np.random.default_rng(17)

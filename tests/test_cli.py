@@ -370,6 +370,7 @@ class TestConfigValidation:
             ("train-ssm", "model.features = 0"),
             ("train-tokenizer", "stage1.betas = 0.9"),
             ("train-tokenizer", "stage1.betas = 0.9,0.99,0.5"),
+            ("train-tokenizer", "stage1.epochs = 0"),
             ("train-tokenizer", "tokenizer.conv_strides = 0,1,1"),
             ("train-tokenizer", "tokenizer.conv_kernels = 300,3,3"),
             ("train-tokenizer", "tokenizer.conv_pads = -9,1,1"),

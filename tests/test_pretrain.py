@@ -364,7 +364,11 @@ class TestTrainConfig:
         for peak_lr, min_lr in ((np.inf, 1e-6), (np.inf, np.inf), (1e-3, -1.0), (-1.0, -2.0)):
             with pytest.raises(ValueError, match="finite lrs"):
                 TrainConfig(peak_lr=peak_lr, min_lr=min_lr)
+        for epochs in (0, -3):
+            with pytest.raises(ValueError, match="epochs"):
+                TrainConfig(epochs=epochs)
         TrainConfig(peak_lr=1e-3, min_lr=1e-3, weight_decay=0.0)  # the bounds themselves are valid
+        TrainConfig(steps=5, epochs=10)  # more epochs than steps: one step per epoch
         TrainConfig(peak_lr=0.0, min_lr=0.0)
 
 
