@@ -1,10 +1,7 @@
-"""The exact discrete Fourier transform and FFT-based convolution.
+"""The discrete Fourier transform and FFT-based convolution.
 
-`dft_many` is the exact forward transform of any length: one product with
-a cached transform matrix, accumulated in complex128. It serves the short
-patch spectra, whose phases feed the tokenizer: numpy.fft rounds
-differently and turns the Nyquist-bin phase of a real patch from -pi + eps
-into +pi, which changes the tokens.
+`dft_many` is numpy.fft's complex forward transform along the last axis,
+in complex128. It serves the short patch spectra that feed the tokenizer.
 
 `fft_convolve_arrays` is *causal linear* convolution of two equal-length
 real sequences, truncated back to the input length, i.e.
@@ -16,8 +13,6 @@ Convention: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N), with no scaling.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,22 +30,10 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@lru_cache(maxsize=32)
-def _dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n)
-
-
 def dft_many(x: np.ndarray) -> np.ndarray:
-    """Forward transform along the last axis of a real/complex array.
-
-    Returns complex128. Any positive length; the cost is O(N^2) per row.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 0:
-        raise ValueError("cannot transform an empty signal")
-    return x.astype(np.complex128, copy=False) @ _dft_matrix(n).T
+    """Forward transform along the last axis of a real/complex array, as
+    complex128. Any positive length; an empty last axis raises ValueError."""
+    return np.fft.fft(np.asarray(x).astype(np.complex128, copy=False), axis=-1)
 
 
 def fft_convolve_arrays(u: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -234,8 +234,7 @@ def _zscore(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 def _zscored_amplitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two-sided amplitude spectrum of `x` along its last axis, z-scored
     over its bins, float32, and the complex spectrum it was taken from.
-    `freq_features` and `tokenizer.tokenize` share it. `dft_many` casts
-    float32 patches to complex128 exactly, as it would their float64 copy."""
+    `freq_features` and `tokenizer.tokenize` share it."""
     spec = fourier.dft_many(x)
     return _zscore(np.abs(spec)), spec
 

@@ -288,8 +288,6 @@ def make_stage1_batch(grids: list[PatchGrid]) -> Stage1Batch:
         raise ValueError("all records in a batch must share (C, N, T)")
     c, n, t = shape
     b, bins = len(grids), t // 2 + 1
-    # dft_many's product runs once per (C, N, T) grid of the stack, as one
-    # call per record did
     grid = np.stack([g.patches for g in grids])
     amp, phase = (a.reshape(b, c * n, t) for a in freq_features(grid))
     positions = np.broadcast_to(np.arange(c * n), (b, c * n)).copy()

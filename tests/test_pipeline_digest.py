@@ -31,13 +31,13 @@ ENVIRONMENT = {
 }
 
 DIGESTS = {
-    "stage1_checkpoint": "be6bad72c4dc998ea9723a48d0c339e7f3b5245ec03d4b0a7ead49c768281fe3",
-    "stage1_history": "537eb450564f5ce75f20281f8cdd1b8e7573c76b5013229d85458c4a57d29f15",
-    "tokens": "485f7c9052fc0431e55122eb4fcb4f025492dcde080ffd01262795aa532db3fd",
-    "stage2_checkpoint": "0800750a478d6a2094ec0665588467301e4a3218f7592e6895129526e7b81c57",
-    "stage2_history": "f83f9b86697eb470fe6d7ffe7bc2fdd491972c4631f40e27aadfef3a3a775e64",
-    "features": "32840fcdfaf5b471169fe64d1d8aedc864485cf0824122d2e3c0f1ca71db5771",
-    "probe_report": "8f595afb1b1464e5a3405a4fdc0d79fa80a9a8f6ba8c3f2d75fd0ff4ccf35054",
+    "stage1_checkpoint": "1d998e4845f91663d2775a7b5e470594aa64c67619c04a4499213ad736ab7f3c",
+    "stage1_history": "74b37c8ede253d71a8a07efa896fa9730f23521d4e065d8130d7ffe6af265174",
+    "tokens": "ad503000d3db6233a08751a4690f09ec00fc9734477318b8048f677062d24d6c",
+    "stage2_checkpoint": "377a25815c19b982b632bdd1e5f110fe1062154a3a705be7e5f184a83fd8ee61",
+    "stage2_history": "08e40141f626345c863892488c7615432b8288188b45f103c569c838c70a6c79",
+    "features": "5032d2d333e717922d79fa4149f2305ef1918968c43345ebb2a09bc31f8eef2f",
+    "probe_report": "5a6675ee1b31730daa7ccbf09617441fc94ce29bd5818f9f00de1922409d1835",
 }
 
 SPEC = GeneratorSpec(
