@@ -6,17 +6,24 @@ in complex128. It serves the short patch spectra that feed the tokenizer.
 `fft_convolve_arrays` is *causal linear* convolution of two equal-length
 real sequences, truncated back to the input length, i.e.
 y[t] = sum_{s<=t} u[s] * k[t-s]. It runs numpy.fft's real transforms on
-float64 copies of both inputs: numpy keeps float32 transforms in single
-precision, whose rounding would leak into outputs that causality fixes.
+C-ordered float64 copies of both inputs: numpy keeps float32 transforms in
+single precision, whose rounding would leak into outputs that causality
+fixes, and transforms strided rows (SGConv's transposed input, its
+adjoint's reversed gradient) more slowly, to the same values. An operand
+may be the `Spectrum` an earlier call returned, so a call runs one real
+transform per array operand and one inverse.
 
 Convention: X[k] = sum_n x[n] * exp(-2j*pi*k*n/N), with no scaling.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
+    "Spectrum",
     "dft_many",
     "fft_convolve_arrays",
     "next_pow2",
@@ -36,25 +43,49 @@ def dft_many(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(x).astype(np.complex128, copy=False), axis=-1)
 
 
-def fft_convolve_arrays(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+class Spectrum(NamedTuple):
+    """A real sequence as `fft_convolve_arrays` transforms it: the rfft of
+    its float64 copy zero-padded to `next_pow2(2 * n - 1)`, with the
+    sequence's length `n` and its dtype."""
+
+    data: np.ndarray
+    n: int
+    dtype: np.dtype
+
+
+def _operand(x) -> tuple[Spectrum | np.ndarray, int]:
+    """A convolution operand and its sequence length."""
+    if isinstance(x, Spectrum):
+        return x, x.n
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError(f"fft_convolve_arrays convolves real sequences, got dtype {x.dtype}")
+    return x, x.shape[-1]
+
+
+def fft_convolve_arrays(u, k, *, spectra: bool = False):
     """Causal linear convolution along the last axis via spectral product.
 
-    `u` and `k` must be real and share their last-axis length N; leading
-    axes broadcast. Both are zero-padded to the next power of two >= 2N-1
-    so the circular product realizes linear convolution, then the result is
-    truncated back to N. Output dtype follows numpy promotion of the inputs.
+    `u` and `k` are real arrays sharing their last-axis length N, or the
+    `Spectrum`s earlier calls returned for such arrays; leading axes
+    broadcast. Arrays are zero-padded to the next power of two >= 2N-1 and
+    transformed, so the circular product realizes linear convolution; the
+    result is truncated back to N, in the numpy promotion of the inputs'
+    dtypes. `spectra=True` returns `(out, spectrum_of_u, spectrum_of_k)`.
+    Complex arrays raise TypeError.
     """
-    u = np.asarray(u)
-    k = np.asarray(k)
-    n = u.shape[-1]
+    (u, n), (k, nk) = _operand(u), _operand(k)
     if n == 0:
         raise ValueError("cannot convolve empty sequences")
-    if k.shape[-1] != n:
+    if nk != n:
         raise ValueError(
-            f"sequence lengths differ: {n} vs {k.shape[-1]}; "
+            f"sequence lengths differ: {n} vs {nk}; "
             "pad or truncate the kernel to the signal length first"
         )
-    out_dtype = np.result_type(u.dtype, k.dtype)
     m = next_pow2(2 * n - 1)
-    prod = np.fft.rfft(u.astype(np.float64), m) * np.fft.rfft(k.astype(np.float64), m)
-    return np.fft.irfft(prod, m)[..., :n].astype(out_dtype)
+    su, sk = (
+        x if isinstance(x, Spectrum) else Spectrum(np.fft.rfft(x.astype(np.float64, order="C"), m), n, x.dtype)
+        for x in (u, k)
+    )
+    out = np.fft.irfft(su.data * sk.data, m)[..., :n].astype(np.result_type(su.dtype, sk.dtype))
+    return (out, su, sk) if spectra else out

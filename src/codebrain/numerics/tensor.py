@@ -844,30 +844,39 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
     `logits` has shape (..., K) and `targets` shape (...); the result has
     shape (...). Computed from shifted logits in float64 so the uniform-logit
-    value is exact to ~1e-7 even in float32 storage.
+    value is exact to ~1e-7 even in float32 storage. The shifted logits are
+    exponentiated and normalised in one float64 buffer, and the adjoint,
+    which runs once, forms the gradient in the kept probabilities where the
+    output gradient's dtype allows. Non-integer targets raise TypeError,
+    unless there are none.
     """
     idx = np.asarray(targets)
     d = logits.data
     k = d.shape[-1]
+    if idx.dtype.kind not in "iu":
+        if idx.size:
+            raise TypeError(f"cross_entropy targets must be integer class indices, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp)  # an empty list reads as float64
     if idx.shape != d.shape[:-1]:
         raise ValueError(f"targets shape {idx.shape} does not match logits {d.shape[:-1]}")
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise ValueError(f"target index out of range for {k} classes")
-    shifted = (d - d.max(axis=-1, keepdims=True)).astype(np.float64)
-    e = np.exp(shifted)
+    e = (d - d.max(axis=-1, keepdims=True)).astype(np.float64, copy=False)
+    rows, flat_idx = np.arange(idx.size), idx.reshape(-1)
+    picked = e.reshape(-1, k)[rows, flat_idx]
+    np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
     lse = np.log(total[..., 0])
-    flat_idx = idx.reshape(-1)
-    picked = shifted.reshape(-1, k)[np.arange(flat_idx.size), flat_idx]
     out = (lse - picked.reshape(lse.shape)).astype(d.dtype)
-    prob = (e / total).astype(d.dtype)
+    prob = np.divide(e, total, out=e).astype(d.dtype, copy=False)
     shape = d.shape
 
     def vjp(g):
-        gr = prob.copy().reshape(-1, k)
-        gr[np.arange(flat_idx.size), flat_idx] -= 1.0
-        gr = gr.reshape(shape)
-        return (gr * np.expand_dims(g, -1),)
+        nonlocal prob
+        gr, prob = prob.reshape(-1, k), None  # written in place, so a second call fails
+        gr[rows, flat_idx] -= 1.0
+        gr, g = gr.reshape(shape), np.expand_dims(g, -1)
+        return (np.multiply(gr, g, out=gr) if np.result_type(gr, g) == gr.dtype else gr * g,)
 
     return _from_op(out, (logits,), vjp)
 
@@ -938,19 +947,23 @@ def fft_convolve(u: Tensor, k: Tensor) -> Tensor:
 
     Leading axes broadcast. The adjoints are correlations, realized as
     flip-convolve-flip so the whole backward pass stays on the fast
-    transform path.
+    transform path. The node keeps each operand's forward spectrum only
+    where the other operand's adjoint reads it, and the adjoint transforms
+    the flipped gradient once for both: six real transforms a step where
+    both operands need gradients, three forward and three backward.
     """
     u, k = _wrap(u), _wrap(k)
-    out = fourier.fft_convolve_arrays(u.data, k.data)
+    out, fu, fk = fourier.fft_convolve_arrays(u.data, k.data, spectra=True)
     su, sk = u.shape, k.shape
-    fu = u.data if k.requires_grad else None  # each operand, for the other's adjoint only
-    fk = k.data if u.requires_grad else None
+    fu = fu if k.requires_grad else None  # each operand's spectrum, for the other's adjoint only
+    fk = fk if u.requires_grad else None
 
     def vjp(g):
         gf = g[..., ::-1]
         du = dk = None
         if fk is not None:
-            du = _unbroadcast(fourier.fft_convolve_arrays(gf, fk)[..., ::-1], su)
+            du, gf, _ = fourier.fft_convolve_arrays(gf, fk, spectra=True)  # gf: now its spectrum
+            du = _unbroadcast(du[..., ::-1], su)
         if fu is not None:
             dk = _unbroadcast(fourier.fft_convolve_arrays(gf, fu)[..., ::-1], sk)
         return (du, dk)

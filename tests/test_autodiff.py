@@ -34,7 +34,8 @@ from codebrain.numerics import (
     take_rows,
     window_attention,
 )
-from codebrain.numerics.tensor import _ATTENTION_CHUNK_BYTES, _from_op, _Node
+from codebrain.numerics import fourier
+from codebrain.numerics.tensor import _ATTENTION_CHUNK_BYTES, _from_op, _Node, _unbroadcast
 from codebrain.pretrain import clip_grad_norm, masked_token_loss
 from codebrain.signal import patch, preprocess, synth_generate
 from codebrain.ssm import EegssmModel
@@ -1031,6 +1032,102 @@ class TestConvPrimitives:
             return (fft_convolve(Tensor(u0), k) ** 2).sum()
 
         assert finite_diff_check(fn_k, Tensor(rng.normal(size=8))) < TOL
+
+
+def _fft_convolve_chain(ud, kd, g):
+    """Output and both adjoints of the causal convolution as three calls on
+    arrays: the forward, then flip-convolve-flip against each operand."""
+    gf = g[..., ::-1]
+    du = _unbroadcast(fourier.fft_convolve_arrays(gf, kd)[..., ::-1], ud.shape)
+    dk = _unbroadcast(fourier.fft_convolve_arrays(gf, ud)[..., ::-1], kd.shape)
+    return fourier.fft_convolve_arrays(ud, kd), du, dk
+
+
+def _cross_entropy_chain(d, idx, g):
+    """Cross entropy and its adjoint with a fresh array for every step."""
+    k = d.shape[-1]
+    shifted = (d - d.max(axis=-1, keepdims=True)).astype(np.float64)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = np.log(total[..., 0])
+    flat_idx = idx.reshape(-1)
+    picked = shifted.reshape(-1, k)[np.arange(flat_idx.size), flat_idx]
+    out = (lse - picked.reshape(lse.shape)).astype(d.dtype)
+    gr = (e / total).astype(d.dtype).copy().reshape(-1, k)
+    gr[np.arange(flat_idx.size), flat_idx] -= 1.0
+    return out, gr.reshape(d.shape) * np.expand_dims(g, -1)
+
+
+class TestTransformOracles:
+    # SGConv's layout: (B, F, S) as a transposed view of (B, S, F), and one
+    # (F, S) kernel broadcast over the batch
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b,f,s", [(4, 64, 1024), (4, 64, 32)], ids=["long", "desk"])
+    def test_fft_convolve_bit_equal_to_array_calls(self, b, f, s, dtype):
+        rng = np.random.default_rng(45)
+        ud = rng.normal(size=(b, s, f)).astype(dtype).transpose(0, 2, 1)
+        kd = rng.normal(size=(f, s)).astype(dtype)
+        g = rng.normal(size=(b, f, s)).astype(dtype)
+        want = _fft_convolve_chain(ud, kd, g)
+        out = fft_convolve(Tensor(ud, requires_grad=True), Tensor(kd, requires_grad=True))
+        got = (out.data, *out._node.vjp(g))
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype == dtype
+            np.testing.assert_array_equal(a, w)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["u", "k"])
+    def test_fft_convolve_keeps_only_the_spectrum_read(self, which):
+        # the input's adjoint reads the kernel's spectrum and the kernel's
+        # adjoint the input's; nothing else stays on the tape
+        rng = np.random.default_rng(46)
+        ud = rng.normal(size=(4, 64, 1024)).astype(np.float32)
+        kd = rng.normal(size=(64, 1024)).astype(np.float32)
+        g = rng.normal(size=ud.shape).astype(np.float32)
+        out = fft_convolve(Tensor(ud, requires_grad=which == 0), Tensor(kd, requires_grad=which == 1))
+        other = kd if which == 0 else ud
+        assert [a.shape for a in closure_values(out._node.vjp) if isinstance(a, np.ndarray)] == [
+            other.shape[:-1] + (1025,)
+        ]
+        (spec,) = [c.cell_contents for c in out._node.vjp.__closure__ if isinstance(c.cell_contents, fourier.Spectrum)]
+        np.testing.assert_array_equal(spec.data, np.fft.rfft(other.astype(np.float64), 2048))
+        grads = out._node.vjp(g)
+        assert grads[1 - which] is None
+        np.testing.assert_array_equal(grads[which], _fft_convolve_chain(ud, kd, g)[1 + which])
+
+    @pytest.mark.parametrize("g_dtype", [None, np.float64], ids=["same", "float64-grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 1024, 256), (4, 32, 4096)], ids=["long", "paper"])
+    def test_cross_entropy_bit_equal_to_fresh_arrays(self, shape, dtype, g_dtype):
+        rng = np.random.default_rng(47)
+        d = (rng.normal(size=shape) * 3.0).astype(dtype)
+        idx = rng.integers(0, shape[-1], size=shape[:-1])
+        g = rng.normal(size=shape[:-1]).astype(g_dtype or dtype)
+        want = _cross_entropy_chain(d, idx, g)
+        out = cross_entropy(Tensor(d, requires_grad=True), idx)
+        got = (out.data, *out._node.vjp(g))
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype
+            np.testing.assert_array_equal(a, w)
+
+    @pytest.mark.parametrize(
+        "targets", [np.array([0.7, 1.2]), np.array([1.0, 2.0]), np.array([True, False])], ids=["float", "whole-float", "bool"]
+    )
+    def test_cross_entropy_rejects_non_integer_targets(self, targets):
+        with pytest.raises(TypeError, match=str(targets.dtype)):
+            cross_entropy(Tensor(np.zeros((2, 3))), targets)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
+    def test_cross_entropy_takes_any_integer_targets(self, dtype):
+        x = np.random.default_rng(48).normal(size=(3, 5))
+        t = np.array([4, 0, 2])
+        want = cross_entropy(Tensor(x), t).data
+        np.testing.assert_array_equal(cross_entropy(Tensor(x), t.astype(dtype)).data, want)
+
+    @pytest.mark.parametrize("targets", [[], np.zeros(0, np.int64)], ids=["list", "int64"])
+    def test_cross_entropy_takes_no_targets(self, targets):
+        x = Tensor(np.zeros((0, 3)), requires_grad=True)
+        backward(cross_entropy(x, targets).sum())
+        assert x.grad.shape == (0, 3)
 
 
 class TestComposites:

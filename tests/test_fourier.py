@@ -151,3 +151,45 @@ def test_next_pow2():
     assert next_pow2(4097) == 8192
     with pytest.raises(ValueError):
         next_pow2(0)
+
+
+class TestFftConvolveOperands:
+    @pytest.mark.parametrize("which", [0, 1], ids=["u", "k"])
+    def test_complex_operand_rejected(self, which):
+        # the real transforms would drop the imaginary part with only a warning
+        ops = [np.ones(8), np.ones(8)]
+        ops[which] = ops[which] + 1j
+        with pytest.raises(TypeError, match="complex128"):
+            fft_convolve_arrays(*ops)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spectra_stand_in_for_their_arrays(self, dtype):
+        rng = np.random.default_rng(31)
+        u = rng.normal(size=(3, 4, 100)).astype(dtype)
+        k = rng.normal(size=(4, 100)).astype(dtype)
+        want = fft_convolve_arrays(u, k)
+        out, su, sk = fft_convolve_arrays(u, k, spectra=True)
+        np.testing.assert_array_equal(out, want)
+        assert (su.n, su.dtype, sk.n, sk.dtype) == (100, dtype, 100, dtype)
+        np.testing.assert_array_equal(su.data, np.fft.rfft(u.astype(np.float64), 256))
+        for ops in ((su, k), (u, sk), (su, sk)):
+            got = fft_convolve_arrays(*ops)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_views_bit_equal_to_transforming_them_as_laid_out(self, dtype):
+        # SGConv's transposed input and its adjoint's reversed gradient are
+        # copied to C order first; the values are those of the views' own
+        # layout, transformed row by row
+        rng = np.random.default_rng(37)
+        u = rng.normal(size=(2, 300, 5)).astype(dtype).transpose(0, 2, 1)[..., ::-1]
+        k = rng.normal(size=(300, 5)).astype(dtype).T
+        spectra = [np.fft.rfft(x.astype(np.float64), 1024) for x in (u, k)]
+        want = np.fft.irfft(spectra[0] * spectra[1], 1024)[..., :300].astype(dtype)
+        np.testing.assert_array_equal(fft_convolve_arrays(u, k), want)
+
+    def test_spectrum_length_mismatch_rejected(self):
+        _, su, _ = fft_convolve_arrays(np.ones(4), np.ones(4), spectra=True)
+        with pytest.raises(ValueError, match="4 vs 5"):
+            fft_convolve_arrays(su, np.ones(5))
